@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race fuzz cover soak shardrace bench perf perfstat reproduce extra examples clean
+.PHONY: all build test vet check race fuzz cover soak bench perf perfstat reproduce extra examples clean
 
 all: vet test build
 
@@ -30,20 +30,12 @@ race:
 soak:
 	$(GO) test -race -run 'TestSelfHealing|TestDifferentialOracle|TestGeneratedPlansConverge|TestHealthTimelineReplay|TestFalseSuspectRecovers|TestChaosReproducible|TestReliability|TestHealthStateMachine|TestBackoff|TestEpochCycle|TestDegradedRailTable' ./internal/chaos/ ./internal/adi/ ./internal/ib/ ./internal/bench/
 
-# Sharded-engine soak: the shard group's unit tests and the sharded chaos
-# conformance matrix (serial-vs-sharded digest identity at 1/2/4/8 shards)
-# under the race detector — the determinism merge rule's standing proof.
-shardrace:
-	$(GO) test -race -run 'TestGroup|TestShard|TestProcRegistryPrune' ./internal/sim/
-	$(GO) test -race -run 'TestShardedSerialIdentical' -timeout 30m ./internal/chaos/
-
 # Each fuzz target gets a bounded live run on top of its checked-in corpus:
 # the stripe planners against their coverage invariants, the lane partition
 # against its tiling/steering invariants, the bucketed matcher against the
 # naive linear reference, the eager-ring header cache against its flat
-# MRU-scan reference, the pin-down registration cache against its
-# flat-scan LRU reference, and the sharded engine differentially against
-# the serial engine.
+# MRU-scan reference, and the pin-down registration cache against its
+# flat-scan LRU reference.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvenStripes -fuzztime=$(FUZZTIME) ./internal/core
@@ -52,7 +44,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchOrder -fuzztime=$(FUZZTIME) ./internal/adi
 	$(GO) test -run='^$$' -fuzz=FuzzHeaderCache -fuzztime=$(FUZZTIME) ./internal/adi
 	$(GO) test -run='^$$' -fuzz=FuzzRegCacheLRU -fuzztime=$(FUZZTIME) ./internal/regcache
-	$(GO) test -run='^$$' -fuzz=FuzzShardMerge -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzChunkChecksum -fuzztime=$(FUZZTIME) ./internal/buf
 	$(GO) test -run='^$$' -fuzz=FuzzRouteTable -fuzztime=$(FUZZTIME) ./internal/fabric
 

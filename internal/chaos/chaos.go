@@ -43,8 +43,8 @@ const (
 	// CompletionDelay postpones RC acknowledgment generation at the port by
 	// Pad, delaying sender-side completions without touching data delivery.
 	CompletionDelay
-	// ChunkLossEveryN drops every N-th chunk crossing the port (the legacy
-	// FaultEvery knob); each loss pays the RC retransmit timeout.
+	// ChunkLossEveryN drops every N-th chunk crossing the port
+	// (hca.Port.ErrorEvery); each loss pays the RC retransmit timeout.
 	ChunkLossEveryN
 	// Payload corruption (DESIGN.md §17). Each corrupts every N-th payload
 	// descriptor posted through the targeted ports (N = 0 disarms; the byte,
@@ -222,7 +222,7 @@ func (p *Plan) eachPort(w *adi.World, ev Event, fn func(*hca.Port)) {
 // NoFaults is the identity plan: a healthy fabric.
 func NoFaults() *Plan { return &Plan{Name: "no-faults"} }
 
-// LegacyEveryN expresses the historical FaultEvery knob as a plan: every
+// LegacyEveryN is the historical uniform chunk-loss fault as a plan: every
 // N-th chunk on every port is lost and retransmitted after the RC timeout.
 func LegacyEveryN(n int64) *Plan {
 	return &Plan{

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 
 	"ib12x/internal/adi"
@@ -160,87 +161,23 @@ func TestIntegrityGeneratedPlansConverge(t *testing.T) {
 
 // TestIntegritySerialParallelIdentical pins the harness contract for the
 // integrity layer: the heaviest corruption row run on one worker and on many
-// must yield bit-identical digests, trace digests, and elapsed times.
+// must yield bit-identical digests, trace digests, elapsed times and
+// integrity counters, with zero violations, on 2 and 4 nodes.
 func TestIntegritySerialParallelIdentical(t *testing.T) {
 	tc := corruptionCases()[3] // corrupt-sink
-	run := func(workers int) []*RunResult {
-		res, err := harness.MapN(workers, allPolicies, func(kind core.Kind) (*RunResult, error) {
-			return RunConformance(OracleConfig{
-				Seed: oracleSeed, Policy: kind, Plan: tc.plan,
+	for _, nodes := range []int{2, 4} {
+		serial, parallel := serialParallel(t, fmt.Sprintf("integrity %d-node", nodes), func(kind core.Kind) OracleConfig {
+			return OracleConfig{
+				Seed: oracleSeed, Policy: kind, Plan: tc.plan, Nodes: nodes,
 				EagerProto: tc.proto,
 				Integrity:  adi.IntegrityVerify,
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(8)
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Digest != p.Digest || s.TraceDigest != p.TraceDigest || s.Elapsed != p.Elapsed {
-			t.Errorf("integrity %s: serial/parallel diverge: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-				s.Policy, s.Digest, p.Digest, s.TraceDigest, p.TraceDigest, s.Elapsed, p.Elapsed)
-		}
-		if s.IntegrityNacks != p.IntegrityNacks || s.TornRepolls != p.TornRepolls {
-			t.Errorf("integrity %s: counters diverge: nacks %d/%d repolls %d/%d",
-				s.Policy, s.IntegrityNacks, p.IntegrityNacks, s.TornRepolls, p.TornRepolls)
-		}
-	}
-}
-
-// TestIntegrityShardedIdentical pins the sharded engine against the serial
-// one with corruption injected and verification armed on a 4-node fabric.
-// The per-port corruption counters advance at post time on the owning
-// shard, and the NACK retransmit reposts on the receiver's evidence carried
-// back in the completion — nothing crosses shards outside the existing
-// merge rule, so every digest must be bit-identical at every shard count.
-func TestIntegrityShardedIdentical(t *testing.T) {
-	type cell struct {
-		tc     corruptionCase
-		policy core.Kind
-	}
-	cases := corruptionCases()
-	cells := []cell{
-		{cases[0], core.EPC},
-		{cases[0], core.EvenStriping},
-		{cases[2], core.EPC},
-		{cases[3], core.EvenStriping},
-	}
-	matrix := func(shards int) []*RunResult {
-		t.Helper()
-		res, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-			return RunConformance(OracleConfig{
-				Seed: oracleSeed, Policy: c.policy, Plan: c.tc.plan,
-				Nodes: 4, Shards: shards,
-				EagerProto: c.tc.proto,
-				Integrity:  adi.IntegrityVerify,
-			})
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return res
-	}
-	serial := matrix(0)
-	for _, shards := range []int{1, 2, 4} {
-		sharded := matrix(shards)
-		for i, res := range sharded {
-			ref := serial[i]
-			for _, v := range res.Violations {
-				t.Errorf("shards=%d %v under %s: %s", shards, cells[i].policy, cells[i].tc.plan.Name, v)
 			}
-			if res.Digest != ref.Digest || res.TraceDigest != ref.TraceDigest || res.Elapsed != ref.Elapsed {
-				t.Errorf("shards=%d %v under %s diverged from serial: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-					shards, cells[i].policy, cells[i].tc.plan.Name,
-					res.Digest, ref.Digest, res.TraceDigest, ref.TraceDigest, res.Elapsed, ref.Elapsed)
-			}
-			if res.IntegrityNacks != ref.IntegrityNacks || res.TornRepolls != ref.TornRepolls {
-				t.Errorf("shards=%d %v under %s: counters diverge: nacks %d/%d repolls %d/%d",
-					shards, cells[i].policy, cells[i].tc.plan.Name,
-					res.IntegrityNacks, ref.IntegrityNacks, res.TornRepolls, ref.TornRepolls)
+		})
+		for i := range serial {
+			s, p := serial[i], parallel[i]
+			if s.IntegrityNacks != p.IntegrityNacks || s.TornRepolls != p.TornRepolls {
+				t.Errorf("integrity %d-node %s: counters diverge: nacks %d/%d repolls %d/%d",
+					nodes, s.Policy, s.IntegrityNacks, p.IntegrityNacks, s.TornRepolls, p.TornRepolls)
 			}
 		}
 	}

@@ -84,29 +84,64 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 }
 
-// TestConformanceSerialParallelIdentical pins the harness contract directly:
-// the same matrix row run on one worker and on many workers must yield
-// bit-identical digests, trace digests, and elapsed virtual times cell by
-// cell.
-func TestConformanceSerialParallelIdentical(t *testing.T) {
-	plan := faultPlans()[5] // kitchen sink: the most event-heavy plan
+// serialParallel runs one matrix row — every policy under cfg — on one
+// harness worker and on eight, and fails unless the row has no invariant
+// violation (the BufLive leak check included) and the two runs agree cell
+// by cell on digest, trace digest and elapsed virtual time. It returns both
+// result sets for any further per-field comparison.
+func serialParallel(t *testing.T, label string, cfg func(core.Kind) OracleConfig) (serial, parallel []*RunResult) {
+	t.Helper()
 	run := func(workers int) []*RunResult {
 		res, err := harness.MapN(workers, allPolicies, func(kind core.Kind) (*RunResult, error) {
-			return RunConformance(OracleConfig{Seed: oracleSeed, Policy: kind, Plan: plan})
+			return RunConformance(cfg(kind))
 		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		return res
 	}
-	serial := run(1)
-	parallel := run(8)
+	serial, parallel = run(1), run(8)
 	for i := range serial {
 		s, p := serial[i], parallel[i]
-		if s.Digest != p.Digest || s.TraceDigest != p.TraceDigest || s.Elapsed != p.Elapsed {
-			t.Errorf("%s: serial/parallel diverge: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-				s.Policy, s.Digest, p.Digest, s.TraceDigest, p.TraceDigest, s.Elapsed, p.Elapsed)
+		for _, v := range s.Violations {
+			t.Errorf("%s %s: %s", label, s.Policy, v)
 		}
+		if s.Digest != p.Digest || s.TraceDigest != p.TraceDigest || s.Elapsed != p.Elapsed {
+			t.Errorf("%s %s: serial/parallel diverge: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
+				label, s.Policy, s.Digest, p.Digest, s.TraceDigest, p.TraceDigest, s.Elapsed, p.Elapsed)
+		}
+	}
+	return serial, parallel
+}
+
+// TestConformanceSerialParallelIdentical pins the harness contract directly:
+// the kitchen-sink matrix row run on one worker and on many workers must
+// yield bit-identical digests, trace digests, and elapsed virtual times
+// cell by cell, with zero violations. The row runs on the default 2-node
+// fabric, on 4 and 8 nodes, and on an adaptive three-tier tree.
+func TestConformanceSerialParallelIdentical(t *testing.T) {
+	plan := faultPlans()[5] // kitchen sink: the most event-heavy plan
+	for _, shape := range []struct {
+		name string
+		set  func(*OracleConfig)
+	}{
+		{"2-node", func(*OracleConfig) {}},
+		{"4-node", func(c *OracleConfig) { c.Nodes = 4 }},
+		{"8-node", func(c *OracleConfig) { c.Nodes = 8 }},
+		{"tree3-adaptive", func(c *OracleConfig) {
+			c.Nodes = 4
+			c.NodesPerSwitch = 1
+			c.Tiers = 3
+			c.SpinesPerPod = 2
+			c.TrunkRate = model.Default().LinkRawRate / 4
+			c.Routing = fabric.RouteAdaptive
+		}},
+	} {
+		serialParallel(t, shape.name, func(kind core.Kind) OracleConfig {
+			cfg := OracleConfig{Seed: oracleSeed, Policy: kind, Plan: plan}
+			shape.set(&cfg)
+			return cfg
+		})
 	}
 }
 
@@ -282,78 +317,6 @@ func TestGeneratedPlansConverge(t *testing.T) {
 		if res.Digest != ref.Digest {
 			t.Errorf("digest split under %s: %s=%#x vs %s=%#x",
 				cells[i].plan.Name, ref.Policy, ref.Digest, res.Policy, res.Digest)
-		}
-	}
-}
-
-// TestShardedSerialIdentical pins the sharded engine's determinism contract
-// end to end: the full policy x fault-plan chaos matrix run on a sharded
-// group (mpi.Config.Shards) must be BIT-identical to the serial engine —
-// payload digest, protocol trace digest, and elapsed virtual time — at
-// every shard count, with zero invariant violations. Shard counts above the
-// topology's unit count clamp (topo.ShardPlan), so the 8-way sweep runs on
-// an 8-node fabric where all 8 shards are real. The third sweep row runs
-// the same matrix on a routed three-tier tree (adaptive), where shards map
-// to pods and every trunk booking crosses the deferred-barrier path.
-func TestShardedSerialIdentical(t *testing.T) {
-	type cell struct {
-		plan   *Plan
-		policy core.Kind
-	}
-	var cells []cell
-	for _, plan := range faultPlans() {
-		for _, kind := range allPolicies {
-			cells = append(cells, cell{plan, kind})
-		}
-	}
-	threeTier := func(c *OracleConfig) {
-		c.NodesPerSwitch = 1
-		c.Tiers = 3
-		c.SpinesPerPod = 2
-		c.TrunkRate = model.Default().LinkRawRate / 4
-		c.Routing = fabric.RouteAdaptive
-	}
-	matrix := func(nodes, shards int, shape func(*OracleConfig)) []*RunResult {
-		t.Helper()
-		res, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-			cfg := OracleConfig{
-				Seed: oracleSeed, Policy: c.policy, Plan: c.plan,
-				Nodes: nodes, Shards: shards,
-			}
-			if shape != nil {
-				shape(&cfg)
-			}
-			return RunConformance(cfg)
-		})
-		if err != nil {
-			t.Fatalf("nodes=%d shards=%d: %v", nodes, shards, err)
-		}
-		return res
-	}
-	for _, sweep := range []struct {
-		nodes  int
-		shards []int
-		shape  func(*OracleConfig)
-	}{
-		{nodes: 4, shards: []int{1, 2, 4}},
-		{nodes: 8, shards: []int{8}},
-		{nodes: 4, shards: []int{2}, shape: threeTier},
-	} {
-		serial := matrix(sweep.nodes, 0, sweep.shape)
-		for _, shards := range sweep.shards {
-			sharded := matrix(sweep.nodes, shards, sweep.shape)
-			for i, res := range sharded {
-				ref := serial[i]
-				for _, v := range res.Violations {
-					t.Errorf("nodes=%d shards=%d %v under %s: %s",
-						sweep.nodes, shards, cells[i].policy, cells[i].plan.Name, v)
-				}
-				if res.Digest != ref.Digest || res.TraceDigest != ref.TraceDigest || res.Elapsed != ref.Elapsed {
-					t.Errorf("nodes=%d shards=%d %v under %s diverged from serial: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-						sweep.nodes, shards, cells[i].policy, cells[i].plan.Name,
-						res.Digest, ref.Digest, res.TraceDigest, ref.TraceDigest, res.Elapsed, ref.Elapsed)
-				}
-			}
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
 	"ib12x/internal/harness"
 	"ib12x/internal/mpi"
-	"ib12x/internal/sim"
 )
 
 // TestDifferentialOracleRDMAEager runs the seeded workload with the
@@ -54,86 +54,20 @@ func TestDifferentialOracleRDMAEager(t *testing.T) {
 // TestRDMAEagerSerialParallelIdentical pins the harness contract for the
 // ring channel: the same ring matrix row run on one worker and on many must
 // yield bit-identical digests, trace digests, and elapsed virtual times
-// cell by cell.
+// cell by cell, with zero violations, on 2 and 4 nodes, and on 4 nodes with
+// lane-decomposed collectives over the ring-carried eager traffic.
 func TestRDMAEagerSerialParallelIdentical(t *testing.T) {
 	plan := faultPlans()[5] // kitchen sink: the most event-heavy plan
-	run := func(workers int) []*RunResult {
-		res, err := harness.MapN(workers, allPolicies, func(kind core.Kind) (*RunResult, error) {
-			return RunConformance(OracleConfig{
-				Seed: oracleSeed, Policy: kind, Plan: plan,
+	for _, row := range []struct {
+		nodes int
+		alg   mpi.CollAlg
+	}{{2, mpi.CollStriped}, {4, mpi.CollStriped}, {4, mpi.CollLane}} {
+		serialParallel(t, fmt.Sprintf("ring %d-node %v", row.nodes, row.alg), func(kind core.Kind) OracleConfig {
+			return OracleConfig{
+				Seed: oracleSeed, Policy: kind, Plan: plan, Nodes: row.nodes,
 				EagerProto: adi.EagerRDMAWrite,
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(8)
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Digest != p.Digest || s.TraceDigest != p.TraceDigest || s.Elapsed != p.Elapsed {
-			t.Errorf("ring %s: serial/parallel diverge: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-				s.Policy, s.Digest, p.Digest, s.TraceDigest, p.TraceDigest, s.Elapsed, p.Elapsed)
-		}
-	}
-}
-
-// TestRDMAEagerShardedIdentical pins the sharded engine against the serial
-// one under the ring channel: a bounded cut of the matrix (the two heaviest
-// plans x two policies, 4-node fabric, one cell composing the ring with
-// lane collectives) must be bit-identical — payload digest, trace digest,
-// elapsed — at every shard count, with zero violations. Ring state (slot
-// cursor, credits, header cache) lives on the sending endpoint's shard and
-// slot returns arrive on the owner's shard, so the merge rule has nothing
-// new to order — this leg proves it.
-func TestRDMAEagerShardedIdentical(t *testing.T) {
-	type cell struct {
-		plan    *Plan
-		policy  core.Kind
-		collAlg mpi.CollAlg
-	}
-	plans := []*Plan{
-		faultPlans()[5], // kitchen sink
-		RailDeath(100*sim.Microsecond, 1, 2),
-	}
-	var cells []cell
-	for _, plan := range plans {
-		for _, kind := range []core.Kind{core.EPC, core.EvenStriping} {
-			cells = append(cells, cell{plan, kind, mpi.CollStriped})
-		}
-	}
-	// Lane-decomposed collectives over ring-carried eager residue.
-	cells = append(cells, cell{plans[0], core.EPC, mpi.CollLane})
-	matrix := func(shards int) []*RunResult {
-		t.Helper()
-		res, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-			return RunConformance(OracleConfig{
-				Seed: oracleSeed, Policy: c.policy, Plan: c.plan,
-				Nodes: 4, Shards: shards,
-				EagerProto: adi.EagerRDMAWrite,
-				CollAlg:    c.collAlg,
-			})
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return res
-	}
-	serial := matrix(0)
-	for _, shards := range []int{1, 2, 4} {
-		sharded := matrix(shards)
-		for i, res := range sharded {
-			ref := serial[i]
-			for _, v := range res.Violations {
-				t.Errorf("shards=%d ring %v under %s: %s", shards, cells[i].policy, cells[i].plan.Name, v)
+				CollAlg:    row.alg,
 			}
-			if res.Digest != ref.Digest || res.TraceDigest != ref.TraceDigest || res.Elapsed != ref.Elapsed {
-				t.Errorf("shards=%d ring %v under %s diverged from serial: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-					shards, cells[i].policy, cells[i].plan.Name,
-					res.Digest, ref.Digest, res.TraceDigest, ref.TraceDigest, res.Elapsed, ref.Elapsed)
-			}
-		}
+		})
 	}
 }

@@ -94,25 +94,11 @@ func TestRegCacheOracleEvicts(t *testing.T) {
 // the serial pass IS a rerun of the parallel pass's cells.
 func TestRegCacheConformanceSerialParallelIdentical(t *testing.T) {
 	plan := faultPlans()[5] // kitchen sink: the most event-heavy plan
-	run := func(workers int) []*RunResult {
-		res, err := harness.MapN(workers, allPolicies, func(kind core.Kind) (*RunResult, error) {
-			return RunConformance(OracleConfig{
-				Seed: oracleSeed, Policy: kind, Plan: plan, RegCache: regCacheConfig(),
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(8)
+	serial, parallel := serialParallel(t, "regcache", func(kind core.Kind) OracleConfig {
+		return OracleConfig{Seed: oracleSeed, Policy: kind, Plan: plan, RegCache: regCacheConfig()}
+	})
 	for i := range serial {
 		s, p := serial[i], parallel[i]
-		if s.Digest != p.Digest || s.TraceDigest != p.TraceDigest || s.Elapsed != p.Elapsed {
-			t.Errorf("%s: serial/parallel diverge: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-				s.Policy, s.Digest, p.Digest, s.TraceDigest, p.TraceDigest, s.Elapsed, p.Elapsed)
-		}
 		if s.RegHits != p.RegHits || s.RegMisses != p.RegMisses ||
 			s.RegEvictions != p.RegEvictions || s.RegPinnedPeak != p.RegPinnedPeak {
 			t.Errorf("%s: cache tallies diverge: %d/%d hits %d/%d misses %d/%d evictions %d/%d peak",

@@ -106,95 +106,18 @@ func TestDifferentialOracleRouting(t *testing.T) {
 // TestRoutingSerialParallelIdentical pins the harness contract on routed
 // fabrics: the adaptive three-tier matrix row run on one worker and on
 // many must yield bit-identical digests, trace digests, and elapsed
-// virtual times cell by cell.
+// virtual times cell by cell, with zero violations.
 func TestRoutingSerialParallelIdentical(t *testing.T) {
 	plan := routedPlans()[5] // kitchen sink: the most event-heavy plan
 	shape := routedShapes()[0]
-	run := func(workers int) []*RunResult {
-		res, err := harness.MapN(workers, allPolicies, func(kind core.Kind) (*RunResult, error) {
-			cfg := OracleConfig{
-				Seed: oracleSeed, Policy: kind, Plan: plan,
-				Nodes: 4, ProcsPerNode: 1, Routing: fabric.RouteAdaptive,
-			}
-			shape.set(&cfg)
-			return RunConformance(cfg)
-		})
-		if err != nil {
-			t.Fatal(err)
+	serialParallel(t, shape.name, func(kind core.Kind) OracleConfig {
+		cfg := OracleConfig{
+			Seed: oracleSeed, Policy: kind, Plan: plan,
+			Nodes: 4, ProcsPerNode: 1, Routing: fabric.RouteAdaptive,
 		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(8)
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Digest != p.Digest || s.TraceDigest != p.TraceDigest || s.Elapsed != p.Elapsed {
-			t.Errorf("%s: serial/parallel diverge: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-				s.Policy, s.Digest, p.Digest, s.TraceDigest, p.TraceDigest, s.Elapsed, p.Elapsed)
-		}
-	}
-}
-
-// TestRoutingShardedIdentical pins the sharded engine against the serial
-// one on routed fabrics: every spine/core/global lane carries traffic from
-// several shards and adaptive selection reads those lanes' load at booking
-// time, so the whole path booking is deferred to the window barrier where
-// it applies in serial posting order. A bounded cut of the matrix — the
-// kitchen-sink, trunk-degrade, and rail-death plans × two policies × both
-// shapes, adaptive routing — must be bit-identical (digest, trace,
-// elapsed) at every shard count, with zero violations.
-func TestRoutingShardedIdentical(t *testing.T) {
-	type cell struct {
-		shape  routedShape
-		plan   *Plan
-		policy core.Kind
-	}
-	plans := []*Plan{
-		routedPlans()[5], // kitchen sink
-		DegradedTrunk(50*sim.Microsecond, 500*sim.Microsecond, 0, 0.25),
-		RailDeath(100*sim.Microsecond, 1, 2),
-	}
-	var cells []cell
-	for _, shape := range routedShapes() {
-		for _, plan := range plans {
-			for _, kind := range []core.Kind{core.EPC, core.EvenStriping} {
-				cells = append(cells, cell{shape, plan, kind})
-			}
-		}
-	}
-	matrix := func(shards int) []*RunResult {
-		t.Helper()
-		res, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-			cfg := OracleConfig{
-				Seed: oracleSeed, Policy: c.policy, Plan: c.plan,
-				Nodes: 4, ProcsPerNode: 1, Shards: shards,
-				Routing: fabric.RouteAdaptive,
-			}
-			c.shape.set(&cfg)
-			return RunConformance(cfg)
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return res
-	}
-	serial := matrix(0)
-	// Both shapes have 2 sharding units (2 pods / 2 groups); 4 exercises
-	// the clamp.
-	for _, shards := range []int{2, 4} {
-		sharded := matrix(shards)
-		for i, res := range sharded {
-			c, ref := cells[i], serial[i]
-			for _, v := range res.Violations {
-				t.Errorf("shards=%d %s %v under %s: %s", shards, c.shape.name, c.policy, c.plan.Name, v)
-			}
-			if res.Digest != ref.Digest || res.TraceDigest != ref.TraceDigest || res.Elapsed != ref.Elapsed {
-				t.Errorf("shards=%d %s %v under %s diverged from serial: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-					shards, c.shape.name, c.policy, c.plan.Name,
-					res.Digest, ref.Digest, res.TraceDigest, ref.TraceDigest, res.Elapsed, ref.Elapsed)
-			}
-		}
-	}
+		shape.set(&cfg)
+		return cfg
+	})
 }
 
 // TestAdaptiveBeatsStaticUnderTrunkDegrade is the system-level SetRate ×

@@ -71,10 +71,6 @@ type Config struct {
 	EagerProto adi.EagerProto
 	// Trace, when non-nil, records every rank's protocol events.
 	Trace *trace.Recorder
-	// FaultEvery injects a deterministic link error on every N-th chunk
-	// (0 = error-free). See hca.Port.ErrorEvery. Prefer the Chaos plan:
-	// chaos.LegacyEveryN(n) expresses this knob as a one-event fault plan.
-	FaultEvery int64
 	// Chaos, when non-nil, is a fault plan armed against the world before
 	// the run starts (implemented by *chaos.Plan; the interface keeps the
 	// chaos package, whose oracle drives this one, out of mpi's imports).
@@ -117,13 +113,6 @@ type Config struct {
 	SpinesPerPod int
 	Dragonfly    topo.Dragonfly
 	Routing      fabric.Routing
-	// Shards splits the discrete-event engine into per-shard engines (one
-	// per node, or per leaf switch on a fat tree; clamped to the topology's
-	// unit count) synchronized by conservative lookahead on the fabric's
-	// one-way wire latency. 0 or 1 keeps the historical serial engine
-	// byte-for-byte. Results — digests, traces, reports — are bit-identical
-	// either way; only host wall-clock time changes.
-	Shards int
 
 	// CollAlg selects the collective-algorithm family for every
 	// communicator of the run (see lanes.go). The zero value CollStriped
@@ -169,15 +158,6 @@ type ChaosPlan interface {
 	Arm(eng *sim.Engine, w *adi.World)
 }
 
-// ShardedChaosPlan is a chaos plan that can also arm against a sharded
-// world, decomposing each fault into per-shard sub-events (implemented by
-// *chaos.Plan). A Config with Shards > 1 and a Chaos plan lacking this
-// interface is an error — arming serially would race across shards.
-type ShardedChaosPlan interface {
-	ChaosPlan
-	ArmSharded(g *sim.Group, w *adi.World)
-}
-
 // Report summarises a finished run.
 type Report struct {
 	// Elapsed is the virtual time at which the slowest rank finished the
@@ -212,12 +192,14 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg, spec, body)
-	}
 	eng := sim.NewEngine()
 	world := adi.NewWorld(eng, cfg.Model, spec, cfg.adiOptions())
-	rep := newReport(world, spec.Size())
+	size := spec.Size()
+	rep := &Report{
+		BodyEnd:   make([]sim.Time, size),
+		RankStats: make([]adi.Stats, size),
+		World:     world,
+	}
 	// Reliability arms before the chaos plan so rail events scheduled at
 	// t=0 already find SetRail in self-healing (hardware-only) mode.
 	if cfg.Reliability != nil {
@@ -229,7 +211,13 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 	if cfg.Chaos != nil {
 		cfg.Chaos.Arm(eng, world)
 	}
-	spawnRanks(world, spec.Size(), rep, cfg.CollAlg, body)
+	world.Spawn("mpi", func(ep *adi.Endpoint) {
+		c := newWorld(ep, size, cfg.CollAlg)
+		body(c)
+		rep.BodyEnd[ep.Rank] = ep.Now()
+		c.Barrier() // drain
+		rep.RankStats[ep.Rank] = ep.Stats()
+	})
 	if cfg.Deadline > 0 {
 		if err := eng.RunUntil(cfg.Deadline); err != nil {
 			return nil, fmt.Errorf("mpi: %w", err)
@@ -241,56 +229,11 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 	} else if err := eng.Run(); err != nil {
 		return nil, fmt.Errorf("mpi: %w", err)
 	}
-	rep.finish()
-	return rep, nil
-}
-
-// runSharded is Run over a sharded engine group: same world, same workload,
-// same results, with each node's (or leaf's) events simulated by its own
-// shard engine under conservative-lookahead synchronization.
-func runSharded(cfg Config, spec topo.Spec, body func(c *Comm)) (*Report, error) {
-	shardOf, shards := spec.ShardPlan(cfg.Shards)
-	// The lookahead bound is the fabric's minimum cross-shard latency:
-	// every cross-shard event chain pays at least one wire traversal
-	// (fabric.Net.OneWay(), built from this same model constant; routed
-	// fabrics shard by pod/group and their trunk hops only add to it —
-	// see topo.Spec.ShardLookahead).
-	g := sim.NewGroup(shardOf, shards, spec.ShardLookahead(cfg.Model))
-	world := adi.NewWorldSharded(g, shardOf, cfg.Model, spec, cfg.adiOptions())
-	rep := newReport(world, spec.Size())
-	if cfg.Reliability != nil {
-		world.EnableReliability(*cfg.Reliability)
-	}
-	if cfg.BufAudit {
-		world.EnableBufAudit()
-	}
-	if cfg.Chaos != nil {
-		sp, ok := cfg.Chaos.(ShardedChaosPlan)
-		if !ok {
-			return nil, fmt.Errorf("mpi: chaos plan %T cannot arm a sharded run (no ArmSharded)", cfg.Chaos)
-		}
-		sp.ArmSharded(g, world)
-	}
-	spawnRanks(world, spec.Size(), rep, cfg.CollAlg, body)
-	var runErr error
-	if cfg.Deadline > 0 {
-		runErr = g.RunUntil(cfg.Deadline)
-	} else {
-		runErr = g.Run()
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.Merge() // fold shard recorders back into serial order
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("mpi: %w", runErr)
-	}
-	if cfg.Deadline > 0 {
-		if n := g.LiveProcs(); n > 0 {
-			return nil, fmt.Errorf("mpi: watchdog: %d ranks still running at virtual deadline %v; parked: %v",
-				n, cfg.Deadline, g.ParkedProcs())
+	for _, t := range rep.BodyEnd {
+		if t > rep.Elapsed {
+			rep.Elapsed = t
 		}
 	}
-	rep.finish()
 	return rep, nil
 }
 
@@ -305,37 +248,8 @@ func (c Config) adiOptions() adi.Options {
 		Rndv:       c.Rndv,
 		EagerProto: c.EagerProto,
 		Trace:      c.Trace,
-		FaultEvery: c.FaultEvery,
 		RegCache:   c.RegCache,
 		Integrity:  c.Integrity,
-	}
-}
-
-func newReport(world *adi.World, size int) *Report {
-	return &Report{
-		BodyEnd:   make([]sim.Time, size),
-		RankStats: make([]adi.Stats, size),
-		World:     world,
-	}
-}
-
-// spawnRanks launches the per-rank procs (on each rank's own shard engine
-// in a sharded world).
-func spawnRanks(world *adi.World, size int, rep *Report, alg CollAlg, body func(c *Comm)) {
-	world.Spawn("mpi", func(ep *adi.Endpoint) {
-		c := newWorld(ep, size, alg)
-		body(c)
-		rep.BodyEnd[ep.Rank] = ep.Now()
-		c.Barrier() // drain
-		rep.RankStats[ep.Rank] = ep.Stats()
-	})
-}
-
-func (rep *Report) finish() {
-	for _, t := range rep.BodyEnd {
-		if t > rep.Elapsed {
-			rep.Elapsed = t
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -313,5 +314,59 @@ func TestEventsFired(t *testing.T) {
 	mustRun(t, e)
 	if e.EventsFired() != 5 {
 		t.Errorf("EventsFired = %d, want 5", e.EventsFired())
+	}
+}
+
+// TestProcRegistryPrune is the regression test for the Spawn registry leak:
+// after a large transient fleet dies, the registry backing array must shrink
+// instead of pinning the high-water capacity forever.
+func TestProcRegistryPrune(t *testing.T) {
+	e := NewEngine()
+	const fleet = 4096
+	for i := 0; i < fleet; i++ {
+		e.Spawn("transient", func(p *Proc) {})
+	}
+	var parked *Proc
+	e.Spawn("keeper", func(p *Proc) { p.park("held") })
+	if err := e.Run(); err == nil {
+		t.Fatal("want deadlock (keeper parked)")
+	}
+	if got := cap(e.procRegistry); got >= fleet/4 {
+		t.Fatalf("registry not pruned: cap=%d after %d procs died", got, fleet)
+	}
+	if len(e.procRegistry) != 1 || e.procRegistry[0].name != "keeper" {
+		t.Fatalf("survivor lost during pruning: %d entries", len(e.procRegistry))
+	}
+	if e.procRegistry[0].regIdx != 0 {
+		t.Fatalf("bad regIdx after pruning: %d", e.procRegistry[0].regIdx)
+	}
+	_ = parked
+}
+
+// TestProcRegistryPruneKeepsDiagnostics interleaves dying and surviving
+// procs so swap-removal plus shrinking must preserve every survivor's
+// registry slot.
+func TestProcRegistryPruneKeepsDiagnostics(t *testing.T) {
+	e := NewEngine()
+	const n = 512
+	for i := 0; i < n; i++ {
+		if i%8 == 0 {
+			e.Spawn(fmt.Sprintf("s%d", i), func(p *Proc) { p.park("survivor") })
+		} else {
+			e.Spawn("t", func(p *Proc) {})
+		}
+	}
+	err := e.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("want DeadlockError, got %v", err)
+	}
+	if want := n / 8; de.NumLive != want || len(de.Parked) != want {
+		t.Fatalf("diagnostics lost procs: live=%d parked=%d want %d", de.NumLive, len(de.Parked), want)
+	}
+	for i, p := range e.procRegistry {
+		if p.regIdx != i {
+			t.Fatalf("registry index desync at %d", i)
+		}
 	}
 }

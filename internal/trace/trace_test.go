@@ -49,6 +49,19 @@ func TestRecorderLimit(t *testing.T) {
 	}
 }
 
+func TestRecorderDropCount(t *testing.T) {
+	r := NewRecorder(4)
+	for i := 0; i < 7; i++ {
+		r.Record(sim.Time(i), KindEager, 0, 1, 1, 0)
+	}
+	if r.Len() != 4 || r.Dropped() != 3 {
+		t.Fatalf("Len = %d, Dropped = %d, want 4 kept and 3 dropped", r.Len(), r.Dropped())
+	}
+	if s := r.Summary(); !strings.Contains(s, "DROPPED") || !strings.Contains(s, " 3 events") {
+		t.Errorf("summary does not report the drops:\n%s", s)
+	}
+}
+
 func TestSummary(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(0, KindEager, 0, 1, 100, 0)
@@ -60,6 +73,9 @@ func TestSummary(t *testing.T) {
 	}
 	if !strings.Contains(s, "FIN") {
 		t.Errorf("summary missing FIN:\n%s", s)
+	}
+	if strings.Contains(s, "DROPPED") {
+		t.Errorf("summary reports drops with none:\n%s", s)
 	}
 }
 
