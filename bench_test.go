@@ -102,26 +102,36 @@ func BenchmarkFig05SmallUniBW(b *testing.B) {
 
 // ---- Figure 6: large-message uni-directional bandwidth ----
 
-func BenchmarkFig06UniBW(b *testing.B) {
+// benchFig06 runs the Figure 6 sweep — original 1QP, EPC 4QP and even
+// striping 4QP at 16 KB and 1 MB — with each row's bench.Setup built by
+// setup from its QP count and policy.
+func benchFig06(b *testing.B, setup func(qps int, policy core.Kind) bench.Setup) {
+	b.Helper()
 	sizes := []int{16 * 1024, 1 << 20}
 	var orig, epc, strp []float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		orig, err = bench.UniBandwidth(bench.Setup{QPs: 1, Policy: core.Original}, sizes, window, bwIters, bwWarm)
+		orig, err = bench.UniBandwidth(setup(1, core.Original), sizes, window, bwIters, bwWarm)
 		if err != nil {
 			b.Fatal(err)
 		}
-		epc, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC}, sizes, window, bwIters, bwWarm)
+		epc, err = bench.UniBandwidth(setup(4, core.EPC), sizes, window, bwIters, bwWarm)
 		if err != nil {
 			b.Fatal(err)
 		}
-		strp, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EvenStriping}, sizes, window, bwIters, bwWarm)
+		strp, err = bench.UniBandwidth(setup(4, core.EvenStriping), sizes, window, bwIters, bwWarm)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	reportSeries(b, []string{"orig_peak", "epc_peak", "striping_16K", "epc_16K"},
 		[]float64{orig[1], epc[1], strp[0], epc[0]}, "MBps_virtual")
+}
+
+func BenchmarkFig06UniBW(b *testing.B) {
+	benchFig06(b, func(qps int, policy core.Kind) bench.Setup {
+		return bench.Setup{QPs: qps, Policy: policy}
+	})
 }
 
 // ---- Figure 7: bi-directional bandwidth ----
@@ -339,28 +349,9 @@ func BenchmarkSmallMsgLatencyRDMA(b *testing.B) { benchSmallMsg(b, adi.EagerRDMA
 // allocs/op is gated by perfgate against BenchmarkFig06UniBW's — checksum
 // capture and verification work in place and must not allocate per payload.
 func BenchmarkFig06Integrity(b *testing.B) {
-	sizes := []int{16 * 1024, 1 << 20}
-	var orig, epc, strp []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		orig, err = bench.UniBandwidth(bench.Setup{QPs: 1, Policy: core.Original, Integrity: adi.IntegrityVerify},
-			sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epc, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC, Integrity: adi.IntegrityVerify},
-			sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		strp, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EvenStriping, Integrity: adi.IntegrityVerify},
-			sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, []string{"orig_peak", "epc_peak", "striping_16K", "epc_16K"},
-		[]float64{orig[1], epc[1], strp[0], epc[0]}, "MBps_virtual")
+	benchFig06(b, func(qps int, policy core.Kind) bench.Setup {
+		return bench.Setup{QPs: qps, Policy: policy, Integrity: adi.IntegrityVerify}
+	})
 }
 
 // BenchmarkFig06ThreeTier repeats the Figure 6 uni-directional bandwidth
@@ -370,29 +361,10 @@ func BenchmarkFig06Integrity(b *testing.B) {
 // the host-side allocs/op is gated by perfgate against BenchmarkFig06UniBW —
 // the per-chunk route walk books lanes in place and must not allocate.
 func BenchmarkFig06ThreeTier(b *testing.B) {
-	sizes := []int{16 * 1024, 1 << 20}
-	tree := func(qps int, policy core.Kind) bench.Setup {
+	benchFig06(b, func(qps int, policy core.Kind) bench.Setup {
 		return bench.Setup{QPs: qps, Policy: policy,
 			NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}
-	}
-	var orig, epc, strp []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		orig, err = bench.UniBandwidth(tree(1, core.Original), sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epc, err = bench.UniBandwidth(tree(4, core.EPC), sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		strp, err = bench.UniBandwidth(tree(4, core.EvenStriping), sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, []string{"orig_peak", "epc_peak", "striping_16K", "epc_16K"},
-		[]float64{orig[1], epc[1], strp[0], epc[0]}, "MBps_virtual")
+	})
 }
 
 // BenchmarkSimulatorThroughput measures host-side simulation speed: virtual

@@ -18,35 +18,23 @@
 // regardless of concurrency, and ns/op on a loaded multicore machine is
 // read as "loaded machine" — force IB12X_WORKERS=1 for quiet timings.
 //
-// Gates: BenchmarkFig06UniBW (the window-64 bandwidth sweep, the
-// allocation-heaviest figure) must hold ns/op at least 25% below the
-// seed and allocs/op at least 50% below it (with -samples > 1 the ns
-// gate judges the fastest sample — background load only ever inflates
-// wall clock). The zero-copy payload path
-// cut the other figures' allocations by >90% as well, so Fig04/Fig07/
-// Fig08 gate allocs/op too (allocation counts are exact, so the floors
-// are tight); their ns/op is recorded but not gated — those runs are
-// shorter and noisier on shared machines.
+// Every benchmark is one row of a declarative table (rows, below) in
+// report order. A row may gate against the seed baseline — ns/op and/or
+// allocs/op must sit a fixed fraction below the pre-overhaul number — or
+// gate its allocs/op against another row within a percentage slack plus an
+// absolute headroom for per-world state, or record without a gate.
 //
-// The lane-collective rows (BenchmarkLaneAllgather and its striped
-// shadow) are recorded without a gate: they expose the host-side cost of
-// the lane-decomposed collective machinery next to the reference row.
-//
-// The eager-channel rows (BenchmarkSmallMsgLatency and its RDMA-write
-// shadow) gate against each other: the ring row's allocs/op must stay
-// within a small slack of the send/recv row's, so per-message garbage on
-// the ring fast path fails the gate even though the pair has no seed
-// baseline.
-//
-// The integrity row (BenchmarkFig06Integrity, the Fig06 sweep with
-// end-to-end verification armed) gates the same way against the
-// unprotected Fig06 run: checksum capture and verification must stay
-// allocation-free per payload.
-//
-// The routing row (BenchmarkFig06ThreeTier, the Fig06 sweep over a routed
-// 1:1 three-tier tree with adaptive selection) gates the same way against
-// the flat Fig06 run: the per-chunk route walk and its lane bookings must
-// stay allocation-free.
+// BenchmarkFig06UniBW (the window-64 bandwidth sweep, the
+// allocation-heaviest figure) must hold ns/op at least 25% below the seed
+// and allocs/op at least 50% below it (with -samples > 1 the ns gate judges
+// the fastest sample — background load only ever inflates wall clock).
+// The zero-copy payload path cut the other figures' allocations by >90% as
+// well, so Fig04/Fig07/Fig08 gate allocs/op too (allocation counts are
+// exact, so the floors are tight); their ns/op is recorded but not gated.
+// The RDMA-write eager row, the integrity row and the three-tier routing
+// row gate their allocs/op against their shadow rows, so per-message,
+// per-payload or per-chunk garbage on those paths fails the gate. The
+// lane-collective pair is recorded without a gate.
 package main
 
 import (
@@ -59,7 +47,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -67,85 +54,90 @@ import (
 	"ib12x/internal/harness"
 )
 
-// seedBaseline holds the pre-overhaul numbers, measured on the growth
-// seed with `go test -bench ... -benchmem -benchtime 3x` (single run;
-// ns/op is machine-dependent, allocs/op is exact).
-var seedBaseline = map[string]Result{
-	"BenchmarkFig04LargeLatency": {NsPerOp: 30487433, AllocsPerOp: 119238},
-	"BenchmarkFig06UniBW":        {NsPerOp: 182581294, AllocsPerOp: 1140271},
-	"BenchmarkFig07BiBW":         {NsPerOp: 164104600, AllocsPerOp: 1137865},
-	"BenchmarkFig08Alltoall":     {NsPerOp: 17535687, AllocsPerOp: 110807},
+// row is one benchmark of the report and its gate.
+type row struct {
+	bench string
+	// seed is the pre-overhaul measurement, taken on the growth seed with
+	// `go test -bench ... -benchmem -benchtime 3x` (single run; ns/op is
+	// machine-dependent, allocs/op is exact). Zero when the seed had no
+	// such benchmark.
+	seed Result
+	// nsCut and allocCut are the fractions of the seed value that must be
+	// shaved; 0 leaves that measure ungated against the seed.
+	nsCut, allocCut float64
+	// vs, when set, gates allocs/op against that row's: at most
+	// vs + vs·slackPct/100 + headroom. leak names what an overrun means.
+	vs                 string
+	slackPct, headroom int64
+	leak               string
 }
 
-// gate is one benchmark's budget, expressed as the fraction of the seed
-// value that must be shaved. nsFloor 0 means ns/op is not gated.
-type gateSpec struct {
-	nsFloor    float64
-	allocFloor float64
+// rows is the benchmark table in report order. The alloc floors sit far
+// above the measured post-overhaul counts (98%+ cuts) but far below the
+// seed, so they trip on any real leak of per-chunk or per-WR garbage
+// without flaking.
+var rows = []row{
+	{bench: "BenchmarkFig04LargeLatency", seed: Result{NsPerOp: 30487433, AllocsPerOp: 119238}, allocCut: 0.80},
+	{bench: "BenchmarkFig06UniBW", seed: Result{NsPerOp: 182581294, AllocsPerOp: 1140271}, nsCut: 0.25, allocCut: 0.50},
+	{bench: "BenchmarkFig07BiBW", seed: Result{NsPerOp: 164104600, AllocsPerOp: 1137865}, allocCut: 0.80},
+	{bench: "BenchmarkFig08Alltoall", seed: Result{NsPerOp: 17535687, AllocsPerOp: 110807}, allocCut: 0.80},
+	// The 256KB Allgather under the lane-decomposed and the striped
+	// algorithm: recorded so the host cost of the lane machinery is
+	// visible next to the reference row it shadows.
+	{bench: "BenchmarkLaneAllgather"},
+	{bench: "BenchmarkLaneAllgatherStriped"},
+	// The 1B/1KB EPC ping-pong under the send/recv channel and the
+	// RDMA-write ring. The ring's slab and header cache are per-connection
+	// state allocated at world build, covered by the headroom.
+	{bench: "BenchmarkSmallMsgLatency"},
+	{bench: "BenchmarkSmallMsgLatencyRDMA", vs: "BenchmarkSmallMsgLatency", slackPct: 10, headroom: 256,
+		leak: "the ring fast path is allocating per message"},
+	// The Figure 6 sweep with end-to-end verification armed; the headroom
+	// covers the per-world checksum state.
+	{bench: "BenchmarkFig06Integrity", vs: "BenchmarkFig06UniBW", slackPct: 10, headroom: 512,
+		leak: "checksum capture/verify is allocating per payload"},
+	// The Figure 6 sweep over a routed 1:1 three-tier tree with adaptive
+	// selection; the headroom covers the per-world switch graph.
+	{bench: "BenchmarkFig06ThreeTier", vs: "BenchmarkFig06UniBW", slackPct: 10, headroom: 512,
+		leak: "the route walk is allocating per chunk"},
 }
 
-// gates: Fig06 carries the headline ns+alloc floor; the other figures
-// gate allocations only. The alloc floors sit far above the measured
-// post-overhaul counts (98%+ cuts) but far below the seed, so they trip
-// on any real leak of per-chunk or per-WR garbage without flaking.
-var gates = map[string]gateSpec{
-	"BenchmarkFig06UniBW":        {nsFloor: 0.25, allocFloor: 0.50},
-	"BenchmarkFig04LargeLatency": {allocFloor: 0.80},
-	"BenchmarkFig07BiBW":         {allocFloor: 0.80},
-	"BenchmarkFig08Alltoall":     {allocFloor: 0.80},
+// check applies every row's gate to current and returns one message per
+// violation (none when the gate holds).
+func check(current map[string]Result) []string {
+	var fails []string
+	for _, r := range rows {
+		if r.nsCut == 0 && r.allocCut == 0 && r.vs == "" {
+			continue // recorded, not gated
+		}
+		cur, ok := current[r.bench]
+		if !ok {
+			fails = append(fails, fmt.Sprintf("gated benchmark %s missing from output", r.bench))
+			continue
+		}
+		if budget := r.seed.NsPerOp * (1 - r.nsCut); r.nsCut > 0 && cur.gateNs() > budget {
+			fails = append(fails, fmt.Sprintf("%s ns/op %.0f exceeds the budget %.0f (seed %.0f - %.0f%%); rerun with -samples 3 on a noisy machine",
+				r.bench, cur.gateNs(), budget, r.seed.NsPerOp, r.nsCut*100))
+		}
+		if budget := float64(r.seed.AllocsPerOp) * (1 - r.allocCut); r.allocCut > 0 && float64(cur.AllocsPerOp) > budget {
+			fails = append(fails, fmt.Sprintf("%s allocs/op %d exceeds the budget %.0f (seed %d - %.0f%%)",
+				r.bench, cur.AllocsPerOp, budget, r.seed.AllocsPerOp, r.allocCut*100))
+		}
+		if r.vs == "" {
+			continue
+		}
+		base, ok := current[r.vs]
+		if !ok {
+			fails = append(fails, fmt.Sprintf("%s's baseline %s missing from output", r.bench, r.vs))
+			continue
+		}
+		if budget := base.AllocsPerOp + base.AllocsPerOp*r.slackPct/100 + r.headroom; cur.AllocsPerOp > budget {
+			fails = append(fails, fmt.Sprintf("%s allocs/op %d exceeds the budget %d (%s %d + %d%% + %d): %s",
+				r.bench, cur.AllocsPerOp, budget, r.vs, base.AllocsPerOp, r.slackPct, r.headroom, r.leak))
+		}
+	}
+	return fails
 }
-
-// Lane-collective rows: the 256KB Allgather under the lane-decomposed and
-// the striped reference algorithm. No seed baseline (the seed had no lane
-// collectives) and no gate; the pair is recorded so the host-side cost of
-// the lane machinery is visible next to the reference row it shadows.
-var laneBenches = []string{"BenchmarkLaneAllgather", "BenchmarkLaneAllgatherStriped"}
-
-// Eager-channel rows: the 1B/1KB EPC ping-pong under the send/recv
-// channel and the RDMA-write ring. No seed baseline (the seed had one
-// eager channel); instead the pair gates against itself — the ring's slab
-// and header cache are per-connection state allocated at world build, so
-// the RDMA row's allocs/op must stay within eagerAllocSlackPct (plus a
-// small absolute headroom for those per-world allocations) of the
-// send/recv row. Any per-message garbage on the ring fast path trips it.
-var eagerBenches = []string{"BenchmarkSmallMsgLatency", "BenchmarkSmallMsgLatencyRDMA"}
-
-const (
-	eagerAllocSlackPct  = 10
-	eagerAllocHeadroom  = 256
-	eagerSendRecvBench  = "BenchmarkSmallMsgLatency"
-	eagerRDMAWriteBench = "BenchmarkSmallMsgLatencyRDMA"
-)
-
-// Integrity row: the Figure 6 sweep with end-to-end payload verification
-// armed. No seed baseline (the seed had no integrity model); the row gates
-// against the unprotected Fig06 run instead — its allocs/op must stay
-// within a small slack (plus absolute headroom for the per-world checksum
-// state) of BenchmarkFig06UniBW's, so checksum capture and verification
-// stay allocation-free per payload.
-var integrityBenches = []string{"BenchmarkFig06Integrity"}
-
-const (
-	integrityAllocSlackPct = 10
-	integrityAllocHeadroom = 512
-	integrityBench         = "BenchmarkFig06Integrity"
-	integrityBaseBench     = "BenchmarkFig06UniBW"
-)
-
-// Routing row: the Figure 6 sweep over a routed 1:1 three-tier tree with
-// adaptive path selection. No seed baseline (the seed had a flat switch);
-// the row gates against the flat Fig06 run — its allocs/op must stay
-// within a small slack (plus absolute headroom for the per-world switch
-// graph) of BenchmarkFig06UniBW's, so the per-chunk route walk and lane
-// bookings stay allocation-free.
-var routingBenches = []string{"BenchmarkFig06ThreeTier"}
-
-const (
-	routingAllocSlackPct = 10
-	routingAllocHeadroom = 512
-	routingBench         = "BenchmarkFig06ThreeTier"
-	routingBaseBench     = "BenchmarkFig06UniBW"
-)
 
 // Result is one benchmark measurement. With -samples > 1 the fields are
 // means across samples, NsStddev carries the ns/op spread, and NsMin the
@@ -199,8 +191,13 @@ func main() {
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		Benchtime: *benchtime,
 		CPUs:      runtime.NumCPU(),
-		Seed:      seedBaseline,
+		Seed:      map[string]Result{},
 		Current:   current,
+	}
+	for _, r := range rows {
+		if r.seed != (Result{}) {
+			rep.Seed[r.bench] = r.seed
+		}
 	}
 	if *samples > 1 {
 		rep.Samples = *samples
@@ -216,112 +213,34 @@ func main() {
 		os.Exit(1)
 	}
 
-	for _, name := range benchNames() {
-		seed := seedBaseline[name]
-		cur, ok := current[name]
+	for _, r := range rows {
+		cur, ok := current[r.bench]
 		if !ok {
-			fmt.Printf("%-28s (missing)\n", name)
+			fmt.Printf("%-30s (missing)\n", r.bench)
 			continue
 		}
 		spread := ""
 		if cur.NsStddev > 0 {
 			spread = fmt.Sprintf(" ±%.0f", cur.NsStddev)
 		}
-		fmt.Printf("%-28s ns/op %12.0f%s (seed %12.0f, %+6.1f%%)  allocs/op %9d (seed %9d, %+6.1f%%)\n",
-			name, cur.NsPerOp, spread, seed.NsPerOp, pct(cur.NsPerOp, seed.NsPerOp),
-			cur.AllocsPerOp, seed.AllocsPerOp, pct(float64(cur.AllocsPerOp), float64(seed.AllocsPerOp)))
-	}
-	for _, name := range extraBenches() {
-		cur, ok := current[name]
-		if !ok {
-			fmt.Printf("%-30s (missing)\n", name)
-			continue
+		line := fmt.Sprintf("%-30s ns/op %12.0f%s  allocs/op %9d", r.bench, cur.NsPerOp, spread, cur.AllocsPerOp)
+		if s := r.seed; s != (Result{}) {
+			line += fmt.Sprintf("  (seed ns/op %.0f %+.1f%%, allocs/op %d %+.1f%%)",
+				s.NsPerOp, pct(cur.NsPerOp, s.NsPerOp), s.AllocsPerOp, pct(float64(cur.AllocsPerOp), float64(s.AllocsPerOp)))
 		}
-		spread := ""
-		if cur.NsStddev > 0 {
-			spread = fmt.Sprintf(" ±%.0f", cur.NsStddev)
-		}
-		fmt.Printf("%-30s ns/op %12.0f%s  allocs/op %9d\n",
-			name, cur.NsPerOp, spread, cur.AllocsPerOp)
+		fmt.Println(line)
 	}
 	fmt.Println("wrote", *out)
 
 	if *gate {
-		failed := false
-		for _, name := range benchNames() {
-			g, gated := gates[name]
-			if !gated {
-				continue
-			}
-			cur, ok := current[name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "perfgate: gated benchmark %s missing from output\n", name)
-				failed = true
-				continue
-			}
-			seed := seedBaseline[name]
-			if g.nsFloor > 0 && cur.gateNs() > seed.NsPerOp*(1-g.nsFloor) {
-				fmt.Fprintf(os.Stderr, "perfgate: %s ns/op %.0f exceeds the budget %.0f (seed %.0f - %.0f%%); rerun with -samples 3 on a noisy machine\n",
-					name, cur.gateNs(), seed.NsPerOp*(1-g.nsFloor), seed.NsPerOp, g.nsFloor*100)
-				failed = true
-			}
-			if float64(cur.AllocsPerOp) > float64(seed.AllocsPerOp)*(1-g.allocFloor) {
-				fmt.Fprintf(os.Stderr, "perfgate: %s allocs/op %d exceeds the budget %.0f (seed %d - %.0f%%)\n",
-					name, cur.AllocsPerOp, float64(seed.AllocsPerOp)*(1-g.allocFloor), seed.AllocsPerOp, g.allocFloor*100)
-				failed = true
-			}
+		fails := check(current)
+		for _, f := range fails {
+			fmt.Fprintln(os.Stderr, "perfgate:", f)
 		}
-		eagerNote := ""
-		sr, okS := current[eagerSendRecvBench]
-		rd, okR := current[eagerRDMAWriteBench]
-		switch budget := sr.AllocsPerOp + sr.AllocsPerOp*eagerAllocSlackPct/100 + eagerAllocHeadroom; {
-		case !okS || !okR:
-			fmt.Fprintln(os.Stderr, "perfgate: eager-channel rows missing from output")
-			failed = true
-		case rd.AllocsPerOp > budget:
-			fmt.Fprintf(os.Stderr, "perfgate: %s allocs/op %d exceeds the budget %d (%s %d + %d%% + %d): the ring fast path is allocating per message\n",
-				eagerRDMAWriteBench, rd.AllocsPerOp, budget, eagerSendRecvBench, sr.AllocsPerOp, eagerAllocSlackPct, eagerAllocHeadroom)
-			failed = true
-		default:
-			eagerNote = fmt.Sprintf("; RDMA eager allocs/op %d within %d%%+%d of send/recv %d",
-				rd.AllocsPerOp, eagerAllocSlackPct, eagerAllocHeadroom, sr.AllocsPerOp)
-		}
-		integrityNote := ""
-		ig, okI := current[integrityBench]
-		fb, okF := current[integrityBaseBench]
-		switch budget := fb.AllocsPerOp + fb.AllocsPerOp*integrityAllocSlackPct/100 + integrityAllocHeadroom; {
-		case !okI || !okF:
-			fmt.Fprintln(os.Stderr, "perfgate: integrity row missing from output")
-			failed = true
-		case ig.AllocsPerOp > budget:
-			fmt.Fprintf(os.Stderr, "perfgate: %s allocs/op %d exceeds the budget %d (%s %d + %d%% + %d): checksum capture/verify is allocating per payload\n",
-				integrityBench, ig.AllocsPerOp, budget, integrityBaseBench, fb.AllocsPerOp, integrityAllocSlackPct, integrityAllocHeadroom)
-			failed = true
-		default:
-			integrityNote = fmt.Sprintf("; integrity allocs/op %d within %d%%+%d of Fig06 %d",
-				ig.AllocsPerOp, integrityAllocSlackPct, integrityAllocHeadroom, fb.AllocsPerOp)
-		}
-		routingNote := ""
-		rt, okT := current[routingBench]
-		rb, okB := current[routingBaseBench]
-		switch budget := rb.AllocsPerOp + rb.AllocsPerOp*routingAllocSlackPct/100 + routingAllocHeadroom; {
-		case !okT || !okB:
-			fmt.Fprintln(os.Stderr, "perfgate: routing row missing from output")
-			failed = true
-		case rt.AllocsPerOp > budget:
-			fmt.Fprintf(os.Stderr, "perfgate: %s allocs/op %d exceeds the budget %d (%s %d + %d%% + %d): the route walk is allocating per chunk\n",
-				routingBench, rt.AllocsPerOp, budget, routingBaseBench, rb.AllocsPerOp, routingAllocSlackPct, routingAllocHeadroom)
-			failed = true
-		default:
-			routingNote = fmt.Sprintf("; three-tier allocs/op %d within %d%%+%d of Fig06 %d",
-				rt.AllocsPerOp, routingAllocSlackPct, routingAllocHeadroom, rb.AllocsPerOp)
-		}
-		if failed {
+		if len(fails) > 0 {
 			os.Exit(1)
 		}
-		fmt.Printf("gate OK: Fig06 holds ns/op -%.0f%% and allocs/op -%.0f%%; Fig04/07/08 hold allocs/op -%.0f%% vs seed%s%s%s\n",
-			gates["BenchmarkFig06UniBW"].nsFloor*100, gates["BenchmarkFig06UniBW"].allocFloor*100,
-			gates["BenchmarkFig04LargeLatency"].allocFloor*100, eagerNote, integrityNote, routingNote)
+		fmt.Println("gate OK: every row holds its budget")
 	}
 }
 
@@ -330,22 +249,6 @@ func pct(cur, seed float64) float64 {
 		return 0
 	}
 	return (cur - seed) / seed * 100
-}
-
-// benchNames returns the benchmark set in stable order.
-func benchNames() []string {
-	ks := make([]string, 0, len(seedBaseline))
-	for k := range seedBaseline {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// extraBenches returns the ungated-against-seed row families in report
-// order: lane, eager, integrity, routing.
-func extraBenches() []string {
-	return append(append(append(append([]string(nil), laneBenches...), eagerBenches...), integrityBenches...), routingBenches...)
 }
 
 // benchLine matches `go test -bench -benchmem` output, e.g.
@@ -371,10 +274,9 @@ func runBenchmarks(benchtime string, samples int) (map[string]Result, error) {
 		sample int
 	}
 	var cells []cell
-	names := append(benchNames(), extraBenches()...)
-	for _, name := range names {
+	for _, r := range rows {
 		for s := 0; s < samples; s++ {
-			cells = append(cells, cell{name, s})
+			cells = append(cells, cell{r.bench, s})
 		}
 	}
 	raw, err := harness.Map(cells, func(c cell) (Result, error) {
@@ -405,14 +307,14 @@ func runBenchmarks(benchtime string, samples int) (map[string]Result, error) {
 		}
 		results[name] = agg
 	}
-	for _, name := range names {
+	for _, r := range rows {
 		var rs []Result
 		for i, c := range cells {
-			if c.bench == name {
+			if c.bench == r.bench {
 				rs = append(rs, raw[i])
 			}
 		}
-		fold(name, rs)
+		fold(r.bench, rs)
 	}
 	return results, nil
 }

@@ -63,11 +63,12 @@ const (
 	// guard re-polls until the slot settles; disarmed receivers read the
 	// stale tail.
 	RingTornWrite
-	// TrunkDegrade throttles one fault plane of a routed fabric (spine
-	// plane of a three-tier tree, global-link index of a dragonfly; Port
-	// carries the plane index) to Factor × its built rate. Booked backlog
-	// keeps its departure times; adaptive routing sees the new rate at
-	// the next selection. No-op on flat and legacy fabrics.
+	// TrunkDegrade throttles one fault plane of the fabric (spine plane
+	// of a fat tree — the two-level tree's single spine is plane 0 —
+	// global-link index of a dragonfly; Port carries the plane index) to
+	// Factor × its built rate. Booked backlog keeps its departure times;
+	// adaptive routing sees the new rate at the next selection. No-op on
+	// the single switch, which has no planes.
 	TrunkDegrade
 	// TrunkRestore returns the plane to its built rate.
 	TrunkRestore
@@ -274,9 +275,10 @@ func DegradedLink(from, until sim.Time, node, port int, factor float64, pad sim.
 	}
 }
 
-// DegradedTrunk throttles one fault plane of a routed fabric (spine plane
-// / global-link index) to factor of its built rate between from and until.
-// On flat and legacy fabrics the plan arms but changes nothing.
+// DegradedTrunk throttles one fault plane of the fabric (spine plane /
+// global-link index; plane 0 is every trunk of a two-level tree) to factor
+// of its built rate between from and until. On the single switch the plan
+// arms but changes nothing.
 func DegradedTrunk(from, until sim.Time, plane int, factor float64) *Plan {
 	return &Plan{
 		Name: fmt.Sprintf("degraded-trunk-plane%d", plane),

@@ -1,5 +1,6 @@
 // Package fabric models the InfiniBand wire: full-duplex link lanes with
-// cut-through forwarding through a single switch.
+// cut-through forwarding through a switch graph — the paper's single
+// switch, a two-level or three-tier fat tree, or a dragonfly.
 //
 // A Lane is one direction of one link. It is not a plain FIFO server: the
 // source side may be fed by a DMA engine slower than the wire (the lane then
@@ -8,7 +9,11 @@
 // bandwidth asymptotes in the paper's Figures 5-7.
 package fabric
 
-import "ib12x/internal/sim"
+import (
+	"math"
+
+	"ib12x/internal/sim"
+)
 
 // Lane is one direction of a link, serving wire bytes at a fixed rate.
 // The zero value is unusable; set Rate.
@@ -111,63 +116,43 @@ func (l *Lane) Bytes() int64 { return l.bytes }
 // Busy reports accumulated lane occupancy.
 func (l *Lane) Busy() sim.Time { return l.busy }
 
-// Net is the switched fabric. A single cut-through switch gives every pair
-// a constant one-hop latency; the optional two-level fat tree adds leaf
-// switches with shared trunk lanes to a spine, so cross-leaf traffic pays
-// two extra hops and contends on the (possibly oversubscribed) trunks.
+// Net is the switched fabric: a graph of cut-through switches whose
+// inter-switch cables are Lanes (see route.go). Every shape is one graph —
+// the paper's single switch (no lanes), a two-level fat tree, a three-tier
+// fat tree or a dragonfly — so a chunk crossing switches is always booked
+// by one walk of its route. Build one with a constructor; the zero value is
+// unusable.
 type Net struct {
 	// Latency is the per-hop propagation plus switch cut-through time.
 	Latency sim.Time
 
-	nodesPerLeaf int
-	up, down     []Lane // per-leaf trunk lanes toward/from the spine
-
-	// g, when non-nil, replaces the two-level model with a routed switch
-	// graph (three-tier fat tree or dragonfly — see route.go).
 	g *graph
 }
 
-// NewSingleSwitch builds the flat fabric of the paper's testbed.
-func NewSingleSwitch(latency sim.Time) *Net { return &Net{Latency: latency} }
+// NewSingleSwitch builds the flat fabric of the paper's testbed: one switch
+// holding every node, with no inter-switch lanes.
+func NewSingleSwitch(latency sim.Time) *Net {
+	return &Net{Latency: latency, g: &graph{nodesPer: math.MaxInt, leaves: 1}}
+}
 
 // NewFatTree builds a two-level fabric: nodes are grouped nodesPerLeaf to a
 // leaf switch; each leaf connects to the spine by one trunk of trunkRate
 // bytes/s per direction. With trunkRate = linkRate the tree is
 // non-blocking 1:1 only for a single active node per leaf; lower rates
-// model oversubscription.
+// model oversubscription. It is the switch graph of one pod holding every
+// leaf under a single spine; nodesPerLeaf ≤ 0 gives the single switch.
 func NewFatTree(latency sim.Time, nodes, nodesPerLeaf int, trunkRate float64) *Net {
 	if nodesPerLeaf <= 0 {
 		return NewSingleSwitch(latency)
 	}
-	leaves := (nodes + nodesPerLeaf - 1) / nodesPerLeaf
-	n := &Net{Latency: latency, nodesPerLeaf: nodesPerLeaf}
-	n.up = make([]Lane, leaves)
-	n.down = make([]Lane, leaves)
-	for i := range n.up {
-		n.up[i].Rate = trunkRate
-		n.down[i].Rate = trunkRate
-	}
-	return n
+	return newTree(latency, nodes, nodesPerLeaf, 1, 0, trunkRate, RouteStatic, 0)
 }
 
 // OneWay reports the per-hop wire latency.
 func (n *Net) OneWay() sim.Time { return n.Latency }
 
-// Leaf reports the leaf switch of a node (0 in a single-switch fabric).
-func (n *Net) Leaf(node int) int {
-	if n.nodesPerLeaf == 0 {
-		return 0
-	}
-	return node / n.nodesPerLeaf
-}
+// Uplink returns a leaf's trunk lane toward its first spine.
+func (n *Net) Uplink(leaf int) *Lane { return &n.g.lanes[n.g.laneUpLS(leaf, 0)] }
 
-// CrossLeaf reports whether two nodes sit under different leaf switches.
-func (n *Net) CrossLeaf(a, b int) bool {
-	return n.nodesPerLeaf > 0 && n.Leaf(a) != n.Leaf(b)
-}
-
-// Uplink returns the leaf's trunk lane toward the spine.
-func (n *Net) Uplink(leaf int) *Lane { return &n.up[leaf] }
-
-// Downlink returns the leaf's trunk lane from the spine.
-func (n *Net) Downlink(leaf int) *Lane { return &n.down[leaf] }
+// Downlink returns a leaf's trunk lane from its first spine.
+func (n *Net) Downlink(leaf int) *Lane { return &n.g.lanes[n.g.laneDownSL(leaf, 0)] }

@@ -8,10 +8,10 @@ import (
 
 func TestSingleSwitchLeafTopology(t *testing.T) {
 	n := NewSingleSwitch(600 * sim.Nanosecond)
-	if n.Leaf(0) != 0 || n.Leaf(7) != 0 {
+	if n.SwitchOf(0) != 0 || n.SwitchOf(7) != 0 {
 		t.Error("single switch: every node on leaf 0")
 	}
-	if n.CrossLeaf(0, 7) {
+	if n.CrossSwitch(0, 7) {
 		t.Error("single switch has no cross-leaf pairs")
 	}
 }
@@ -20,18 +20,18 @@ func TestFatTreeLeafAssignment(t *testing.T) {
 	n := NewFatTree(600*sim.Nanosecond, 8, 4, 3e9)
 	cases := []struct{ node, leaf int }{{0, 0}, {3, 0}, {4, 1}, {7, 1}}
 	for _, c := range cases {
-		if got := n.Leaf(c.node); got != c.leaf {
-			t.Errorf("Leaf(%d) = %d, want %d", c.node, got, c.leaf)
+		if got := n.SwitchOf(c.node); got != c.leaf {
+			t.Errorf("SwitchOf(%d) = %d, want %d", c.node, got, c.leaf)
 		}
 	}
-	if n.CrossLeaf(0, 3) || !n.CrossLeaf(3, 4) {
+	if n.CrossSwitch(0, 3) || !n.CrossSwitch(3, 4) {
 		t.Error("cross-leaf classification wrong")
 	}
 }
 
 func TestFatTreeZeroGroupIsSingleSwitch(t *testing.T) {
 	n := NewFatTree(600*sim.Nanosecond, 8, 0, 3e9)
-	if n.CrossLeaf(0, 7) {
+	if n.CrossSwitch(0, 7) {
 		t.Error("nodesPerLeaf=0 must degrade to a single switch")
 	}
 }

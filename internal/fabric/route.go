@@ -1,19 +1,21 @@
-// Switch-graph fabrics: three-tier fat trees and dragonfly groups with
-// per-switch forwarding tables and deterministic path selection.
+// Switch-graph fabrics: fat trees (the single switch, two-level and
+// three-tier shapes) and dragonfly groups with per-switch forwarding and
+// deterministic path selection.
 //
-// The legacy two-level net (NewFatTree) books a single up/down trunk pair
-// per leaf with no routing at all. The routed fabrics below model every
-// inter-switch cable as its own Lane and pick among parallel candidates at
-// each switch — statically (D-mod-K hashing of the flow key) or adaptively
-// (least modeled finish time at booking, with seeded tie-breaks). Either
-// way a run replays bit-identically: static selection is a pure function of
-// the flow key, and adaptive selection reads only lane state that the
-// deterministic event order already fixes.
+// Every inter-switch cable is its own Lane, and the walk picks among
+// parallel candidates at each switch — statically (D-mod-K hashing of the
+// flow key) or adaptively (least modeled finish time at booking, with
+// seeded tie-breaks). A switch with a single candidate takes it without
+// hashing, so the two-level tree's one trunk pair per leaf is booked
+// exactly as a fixed up/down route. Either way a run replays
+// bit-identically: static selection is a pure function of the flow key,
+// and adaptive selection reads only lane state that the deterministic
+// event order already fixes.
 package fabric
 
 import "ib12x/internal/sim"
 
-// Routing selects the path-selection discipline of a routed fabric.
+// Routing selects the path-selection discipline of a switch graph.
 type Routing int
 
 const (
@@ -38,11 +40,11 @@ func (r Routing) String() string {
 const maxHops = 4
 
 const (
-	gFatTree3 = iota
+	gTree = iota
 	gDragonfly
 )
 
-// graph holds the switch graph of a routed fabric. Lanes live in one slab
+// graph holds the switch graph of a fabric. Lanes live in one slab
 // indexed by closed-form functions of the topology coordinates; a "plane"
 // (spine index in a fat tree, global-link index in a dragonfly) groups the
 // lanes that a single physical failure domain would take down together.
@@ -52,12 +54,16 @@ type graph struct {
 	seed     uint64
 	nodesPer int // nodes per leaf switch / per dragonfly router
 
-	// three-tier fat tree: `leaves` leaf switches grouped `spines` to a
-	// pod, each pod with `spines` spine switches, and `spines` core
-	// switches connecting every spine of every pod (full bipartite).
-	spines int
-	pods   int
-	leaves int
+	// fat tree: `leaves` leaf switches grouped `podLeaves` to a pod, each
+	// pod with `spines` spine switches, and `spines` core switches
+	// connecting every spine of every pod (full bipartite). The
+	// three-tier tree has podLeaves = spines; the two-level tree is one
+	// pod under a single spine; the single switch is one leaf holding
+	// every node, with no spine and no lanes.
+	spines    int
+	pods      int
+	leaves    int
+	podLeaves int
 
 	// dragonfly: `groups` groups of `routers` routers each, all-to-all
 	// local links inside a group and `glinks` parallel global lanes per
@@ -83,21 +89,32 @@ func NewThreeTier(latency sim.Time, nodes, nodesPerLeaf, spinesPerPod int, trunk
 	if nodesPerLeaf < 1 || spinesPerPod < 1 {
 		panic("fabric: three-tier needs nodesPerLeaf >= 1 and spinesPerPod >= 1")
 	}
+	return newTree(latency, nodes, nodesPerLeaf, spinesPerPod, spinesPerPod, trunkRate, mode, seed)
+}
+
+// newTree builds a fat tree of nodesPerLeaf-node leaves grouped podLeaves
+// to a pod (0 = every leaf in one pod) with `spines` spines per pod and
+// `spines` cores.
+func newTree(latency sim.Time, nodes, nodesPerLeaf, spines, podLeaves int, trunkRate float64, mode Routing, seed uint64) *Net {
 	leaves := (nodes + nodesPerLeaf - 1) / nodesPerLeaf
 	if leaves < 1 {
 		leaves = 1
 	}
-	pods := (leaves + spinesPerPod - 1) / spinesPerPod
-	g := &graph{
-		kind:     gFatTree3,
-		mode:     mode,
-		seed:     seed,
-		nodesPer: nodesPerLeaf,
-		spines:   spinesPerPod,
-		pods:     pods,
-		leaves:   leaves,
+	if podLeaves < 1 {
+		podLeaves = leaves
 	}
-	s := spinesPerPod
+	pods := (leaves + podLeaves - 1) / podLeaves
+	g := &graph{
+		kind:      gTree,
+		mode:      mode,
+		seed:      seed,
+		nodesPer:  nodesPerLeaf,
+		spines:    spines,
+		pods:      pods,
+		leaves:    leaves,
+		podLeaves: podLeaves,
+	}
+	s := spines
 	g.upLS = 0
 	g.downSL = leaves * s
 	g.upSC = 2 * leaves * s
@@ -134,7 +151,7 @@ func NewDragonfly(latency sim.Time, groups, routersPerGroup, nodesPerRouter, glo
 
 func (g *graph) alloc(n int, rate float64) {
 	if rate <= 0 {
-		panic("fabric: routed fabric needs trunkRate > 0")
+		panic("fabric: switch graph needs trunkRate > 0")
 	}
 	g.lanes = make([]Lane, n)
 	g.rates = make([]float64, n)
@@ -219,7 +236,7 @@ func (g *graph) chooseLane(key uint64, cp, base, stride, ncand int, ready sim.Ti
 }
 
 // walk routes src→dst and, when book is true, charges each hop lane with
-// the legacy per-hop recurrence (first = start+hopLat, last = leaves+hopLat
+// the cut-through per-hop recurrence (first = start+hopLat, last = leaves+hopLat
 // after every Send). Hop lane indices are recorded into hops; the hop count
 // and the updated (first, last) pair are returned. With book=false the walk
 // only consults lane state (adaptive mode) without mutating it.
@@ -234,12 +251,12 @@ func (g *graph) walk(src, dst int, key uint64, first, last sim.Time, wire int64,
 		}
 	}
 	switch g.kind {
-	case gFatTree3:
+	case gTree:
 		sl, dl := src/g.nodesPer, dst/g.nodesPer
 		if sl == dl {
 			return 0, first, last
 		}
-		sp, dp := sl/g.spines, dl/g.spines
+		sp, dp := sl/g.podLeaves, dl/g.podLeaves
 		if sp == dp {
 			// Up to a pod spine, straight down: 2 hops.
 			s := g.chooseLane(key, 0, g.laneUpLS(sl, 0), 1, g.spines, first, wire)
@@ -286,44 +303,32 @@ func (g *graph) walk(src, dst int, key uint64, first, last sim.Time, wire int64,
 	}
 }
 
-// Routed reports whether the fabric carries a switch graph (three-tier fat
-// tree or dragonfly) rather than the flat / legacy two-level model.
-func (n *Net) Routed() bool { return n.g != nil }
+// SwitchOf reports a node's first-hop switch: its leaf in a fat tree (0 on
+// the single switch), its router in a dragonfly.
+func (n *Net) SwitchOf(node int) int { return n.g.switchOf(node) }
 
-// SwitchOf reports a node's first-hop switch in a routed fabric.
-func (n *Net) SwitchOf(node int) int {
-	if n.g == nil {
-		return 0
-	}
-	return n.g.switchOf(node)
-}
-
-// CrossSwitch reports whether two nodes attach to different switches of a
-// routed fabric (false on flat and legacy fabrics, which keep CrossLeaf).
-func (n *Net) CrossSwitch(a, b int) bool {
-	return n.g != nil && n.g.switchOf(a) != n.g.switchOf(b)
-}
+// CrossSwitch reports whether two nodes attach to different switches.
+func (n *Net) CrossSwitch(a, b int) bool { return n.g.switchOf(a) != n.g.switchOf(b) }
 
 // BookPath routes src→dst under the flow key and books every hop lane,
 // applying the per-hop recurrence first=start+hopLat, last=leaves+hopLat
-// after each Send — exactly the legacy trunk accounting, once per hop. It
-// returns the delivered (first, last) pair at the destination's leaf port.
+// after each Send: cut-through, so an idle path costs one serialization
+// plus per-hop latency. It returns the delivered (first, last) pair at the
+// destination's leaf port.
 func (n *Net) BookPath(src, dst int, key uint64, first, last sim.Time, wire int64, hopLat sim.Time) (sim.Time, sim.Time) {
 	var hops [maxHops]int
 	_, f, l := n.g.walk(src, dst, key, first, last, wire, hopLat, &hops, true)
 	return f, l
 }
 
-// Planes reports the number of fault planes of a routed fabric: spine
-// indices in a three-tier tree (plane s = every up/down lane touching any
-// pod's spine s or core s), global-link indices in a dragonfly (plane j =
-// the j-th parallel global lane of every group pair). 0 on flat fabrics.
+// Planes reports the number of fault planes of a fabric: spine indices in
+// a fat tree (plane s = every up/down lane touching any pod's spine s or
+// core s; the two-level tree has one), global-link indices in a dragonfly
+// (plane j = the j-th parallel global lane of every group pair). 0 on the
+// single switch.
 func (n *Net) Planes() int {
 	g := n.g
-	if g == nil {
-		return 0
-	}
-	if g.kind == gFatTree3 {
+	if g.kind == gTree {
 		return g.spines
 	}
 	return g.glinks
@@ -331,7 +336,7 @@ func (n *Net) Planes() int {
 
 // eachPlaneLane visits every lane index of a fault plane.
 func (g *graph) eachPlaneLane(plane int, fn func(idx int)) {
-	if g.kind == gFatTree3 {
+	if g.kind == gTree {
 		for leaf := 0; leaf < g.leaves; leaf++ {
 			fn(g.laneUpLS(leaf, plane))
 			fn(g.laneDownSL(leaf, plane))
@@ -359,11 +364,12 @@ func (g *graph) eachPlaneLane(plane int, fn func(idx int)) {
 }
 
 // DegradePlane throttles every lane of a fault plane to factor × its built
-// rate (the chaos TrunkDegrade fault). No-op on non-routed fabrics and
-// out-of-range planes; factors outside (0, 1] are clamped into it.
+// rate (the chaos TrunkDegrade fault). No-op on out-of-range planes
+// (every plane of the single switch); factors outside (0, 1] are clamped
+// into it.
 func (n *Net) DegradePlane(plane int, factor float64) {
 	g := n.g
-	if g == nil || plane < 0 || plane >= n.Planes() {
+	if plane < 0 || plane >= n.Planes() {
 		return
 	}
 	if factor <= 0 {
@@ -377,10 +383,10 @@ func (n *Net) DegradePlane(plane int, factor float64) {
 }
 
 // RestorePlane returns every lane of a fault plane to its built rate. No-op
-// on non-routed fabrics and out-of-range planes.
+// on out-of-range planes.
 func (n *Net) RestorePlane(plane int) {
 	g := n.g
-	if g == nil || plane < 0 || plane >= n.Planes() {
+	if plane < 0 || plane >= n.Planes() {
 		return
 	}
 	g.eachPlaneLane(plane, func(idx int) {
@@ -392,7 +398,7 @@ func (n *Net) RestorePlane(plane int) {
 // hook the adaptive-vs-degraded tests assert against.
 func (n *Net) PlaneStats(plane int) (items, bytes int64) {
 	g := n.g
-	if g == nil || plane < 0 || plane >= n.Planes() {
+	if plane < 0 || plane >= n.Planes() {
 		return 0, 0
 	}
 	g.eachPlaneLane(plane, func(idx int) {

@@ -17,9 +17,11 @@ func dragonfly(groups, routers, npr, glinks int, mode Routing) *Net {
 }
 
 // switch numbering for the reference graph: fat-tree leaves, then spines
-// (pod-major), then cores; dragonfly routers group-major.
+// (pod-major), then cores; dragonfly routers group-major. A fat-tree pod
+// holds podLeaves leaves: spines of them in a three-tier tree, all of them
+// in a two-level tree.
 func (g *graph) switchCount() int {
-	if g.kind == gFatTree3 {
+	if g.kind == gTree {
 		return g.leaves + g.pods*g.spines + g.spines
 	}
 	return g.groups * g.routers
@@ -30,15 +32,15 @@ func (g *graph) coreID(c int) int       { return g.leaves + g.pods*g.spines + c 
 
 // laneEnds maps a lane index back to its (from, to) switch ids.
 func (g *graph) laneEnds(idx int) (int, int) {
-	if g.kind == gFatTree3 {
+	if g.kind == gTree {
 		s := g.spines
 		switch {
 		case idx < g.downSL:
 			rel := idx - g.upLS
-			return rel / s, g.spineID((rel/s)/s, rel%s)
+			return rel / s, g.spineID((rel/s)/g.podLeaves, rel%s)
 		case idx < g.upSC:
 			rel := idx - g.downSL
-			return g.spineID((rel/s)/s, rel%s), rel / s
+			return g.spineID((rel/s)/g.podLeaves, rel%s), rel / s
 		case idx < g.downCS:
 			rel := idx - g.upSC
 			return g.spineID(rel/(s*s), (rel/s)%s), g.coreID(rel % s)
@@ -74,7 +76,7 @@ func (g *graph) tier(sw int) int {
 
 // eachEdge visits every real (unpadded, non-diagonal) lane of the graph.
 func (g *graph) eachEdge(fn func(idx int)) {
-	if g.kind == gFatTree3 {
+	if g.kind == gTree {
 		for l := 0; l < g.leaves; l++ {
 			for s := 0; s < g.spines; s++ {
 				fn(g.laneUpLS(l, s))
@@ -168,7 +170,7 @@ func checkRoute(t *testing.T, n *Net, src, dst int, key uint64) []int {
 	// local hops over it (anchor mismatch) but never beats it and never
 	// exceeds the l-g-l bound of 3.
 	dist := g.bfsDist(g.switchOf(src))[g.switchOf(dst)]
-	if g.kind == gFatTree3 {
+	if g.kind == gTree {
 		if nh != dist {
 			t.Fatalf("route %d->%d took %d hops, BFS distance %d", src, dst, nh, dist)
 		}
@@ -181,7 +183,7 @@ func checkRoute(t *testing.T, n *Net, src, dst int, key uint64) []int {
 	// Deadlock rules. Fat tree: tiers strictly ascend to a peak then
 	// strictly descend (up/down routing, no valley). Dragonfly: at most
 	// one global hop, locals only adjacent to it (l-g-l).
-	if g.kind == gFatTree3 {
+	if g.kind == gTree {
 		peaked := false
 		for i := 0; i < nh; i++ {
 			from, to := g.laneEnds(hops[i])
@@ -232,8 +234,8 @@ func TestThreeTierShape(t *testing.T) {
 	if want := 2*8*2 + 2*4*2*2; len(g.lanes) != want {
 		t.Fatalf("lanes: %d, want %d", len(g.lanes), want)
 	}
-	if !n.Routed() || n.Planes() != 2 {
-		t.Fatalf("Routed=%v Planes=%d", n.Routed(), n.Planes())
+	if n.Planes() != 2 {
+		t.Fatalf("Planes=%d, want 2", n.Planes())
 	}
 	if n.SwitchOf(5) != 2 || n.CrossSwitch(0, 1) || !n.CrossSwitch(1, 2) {
 		t.Fatalf("switch assignment wrong")
@@ -270,6 +272,7 @@ func TestRouteAllPairs(t *testing.T) {
 		"tree-static":    threeTier(16, 2, 2, RouteStatic),
 		"tree-adaptive":  threeTier(16, 2, 2, RouteAdaptive),
 		"tree-narrow":    threeTier(6, 1, 3, RouteStatic),
+		"tree-two-level": NewFatTree(sim.Microsecond, 16, 2, testRate),
 		"df-static":      dragonfly(3, 4, 2, 2, RouteStatic),
 		"df-adaptive":    dragonfly(3, 4, 2, 2, RouteAdaptive),
 		"df-single-link": dragonfly(2, 3, 1, 1, RouteStatic),
@@ -296,7 +299,7 @@ func TestRouteAllPairs(t *testing.T) {
 // TestBookPathRecurrence pins the per-hop charge: on an idle fabric a
 // cross-pod transfer's last byte pays one trunk serialization (cut-through
 // pipelining overlaps the rest) plus 4 hop latencies on top of the
-// incoming (first, last) — exactly the legacy trunk recurrence, per hop.
+// incoming (first, last) — the cut-through trunk recurrence, per hop.
 func TestBookPathRecurrence(t *testing.T) {
 	n := threeTier(16, 2, 2, RouteStatic)
 	wire := int64(3000) // 1µs at testRate
@@ -390,17 +393,27 @@ func TestDegradePlaneScopes(t *testing.T) {
 		t.Fatalf("restore missed a lane: %g", r)
 	}
 
-	// Flat and legacy fabrics have no planes: both calls are no-ops.
+	// The single switch has no planes: both calls are no-ops.
 	flat := NewSingleSwitch(sim.Microsecond)
 	flat.DegradePlane(0, 0.5)
 	flat.RestorePlane(0)
-	if flat.Planes() != 0 || flat.Routed() {
+	if flat.Planes() != 0 {
 		t.Fatalf("flat fabric reports planes")
 	}
-	legacy := NewFatTree(sim.Microsecond, 8, 2, testRate)
-	legacy.DegradePlane(0, 0.5)
-	if legacy.Uplink(0).Rate != testRate {
-		t.Fatalf("legacy trunk touched by DegradePlane")
+	// The two-level tree's single spine is plane 0: every trunk slows.
+	tree2 := NewFatTree(sim.Microsecond, 8, 2, testRate)
+	if tree2.Planes() != 1 {
+		t.Fatalf("two-level Planes=%d, want 1", tree2.Planes())
+	}
+	tree2.DegradePlane(0, 0.5)
+	for leaf := 0; leaf < 4; leaf++ {
+		if u, d := tree2.Uplink(leaf).Rate, tree2.Downlink(leaf).Rate; u != testRate/2 || d != testRate/2 {
+			t.Fatalf("two-level leaf %d trunks %g/%g, want %g", leaf, u, d, testRate/2)
+		}
+	}
+	tree2.RestorePlane(0)
+	if r := tree2.Uplink(3).Rate; r != testRate {
+		t.Fatalf("two-level restore left rate %g", r)
 	}
 }
 
@@ -435,12 +448,14 @@ func TestPlaneStats(t *testing.T) {
 // FuzzRouteTable drives random topologies and flow triples through the
 // walk and validates each against the flat BFS reference: the route
 // reaches the destination, meets the shortest-path tier bound, static
-// selection is pure, and no up/down (or l-g-l) rule is violated.
+// selection is pure, and no up/down (or l-g-l) rule is violated. Trees are
+// three-tier, or two-level (NewFatTree) when bit 2 of d is set.
 func FuzzRouteTable(f *testing.F) {
 	f.Add(uint64(1), false, uint8(2), uint8(2), uint8(2), uint8(2), uint16(0), uint16(5), uint64(42))
 	f.Add(uint64(2), true, uint8(3), uint8(4), uint8(2), uint8(2), uint16(1), uint16(20), uint64(7))
 	f.Add(uint64(3), false, uint8(1), uint8(3), uint8(1), uint8(1), uint16(2), uint16(2), uint64(0))
 	f.Add(uint64(4), true, uint8(4), uint8(1), uint8(3), uint8(4), uint16(9), uint16(0), uint64(99))
+	f.Add(uint64(5), false, uint8(1), uint8(0), uint8(9), uint8(4), uint16(1), uint16(7), uint64(3))
 	f.Fuzz(func(t *testing.T, seed uint64, df bool, a, b, c, d uint8, src, dst uint16, key uint64) {
 		mode := RouteStatic
 		if seed&1 == 1 {
@@ -455,6 +470,10 @@ func FuzzRouteTable(f *testing.F) {
 			glinks := int(d%4) + 1
 			n = NewDragonfly(sim.Microsecond, groups, routers, npr, glinks, testRate, mode, seed)
 			nodes = groups * routers * npr
+		} else if d&4 != 0 {
+			npl := int(a%3) + 1
+			nodes = int(c)%24 + 2
+			n = NewFatTree(sim.Microsecond, nodes, npl, testRate)
 		} else {
 			npl := int(a%3) + 1
 			spines := int(b%4) + 1

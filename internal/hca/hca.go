@@ -450,24 +450,10 @@ func (f *Flow) txChunkSend(x *xfer, n int) {
 	lat := net.OneWay() + f.src.LatencyPad + f.dst.LatencyPad
 	first := txStart + lat
 	last := leaves + lat
-	if net.Routed() {
-		if !net.CrossSwitch(f.src.Node, f.dst.Node) {
-			f.eng.PostCall(last, stageRx, x, int64(n), int64(first), wire)
-			return
-		}
-		// Switch-graph walk: the fabric routes and books every trunk hop
-		// under this flow's key, charging the legacy per-hop recurrence.
+	if net.CrossSwitch(f.src.Node, f.dst.Node) {
+		// The fabric routes and books every trunk hop under this flow's
+		// key, charging the cut-through per-hop recurrence.
 		first, last = net.BookPath(f.src.Node, f.dst.Node, f.routeKey, first, last, wire, lat)
-		f.eng.PostCall(last, stageRx, x, int64(n), int64(first), wire)
-		return
-	}
-	if net.CrossLeaf(f.src.Node, f.dst.Node) {
-		// Two extra hops through the spine; the shared trunk lanes of
-		// both leaves carry (and possibly throttle) the chunk.
-		upStart, upLeaves := net.Uplink(net.Leaf(f.src.Node)).Send(first, wire, last)
-		downStart, downLeaves := net.Downlink(net.Leaf(f.dst.Node)).Send(upStart+lat, wire, upLeaves+lat)
-		first = downStart + lat
-		last = downLeaves + lat
 	}
 	f.eng.PostCall(last, stageRx, x, int64(n), int64(first), wire)
 }

@@ -18,7 +18,7 @@ type rig struct {
 }
 
 func newRig(m *model.Params) *rig {
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	a := New("hca0", 1, gx.New(m.GXRate), m, net)
 	b := New("hca1", 1, gx.New(m.GXRate), m, net)
 	return &rig{eng: sim.NewEngine(), m: m, src: a.Ports[0], dst: b.Ports[0]}
@@ -59,7 +59,7 @@ func TestFlowOrderingInvariants(t *testing.T) {
 func driveFlows(t *testing.T, r *rig, flows []*Flow, count, n int) sim.Time {
 	t.Helper()
 	var done sim.Time
-	r.eng.At(0, func() {
+	r.eng.Post(0, func() {
 		for i := 0; i < count; i++ {
 			flows[i%len(flows)].Send(n, func(tm Timing) {
 				if tm.InMemory > done {
@@ -181,7 +181,7 @@ func TestAckAccounting(t *testing.T) {
 
 func TestFanInSerializesAtReceiver(t *testing.T) {
 	m := model.Default()
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	eng := sim.NewEngine()
 	a := New("a", 1, gx.New(m.GXRate), m, net).Ports[0]
 	b := New("b", 1, gx.New(m.GXRate), m, net).Ports[0]
@@ -189,7 +189,7 @@ func TestFanInSerializesAtReceiver(t *testing.T) {
 	fa := a.NewFlow(eng, c)
 	fb := b.NewFlow(eng, c)
 	var d1, d2 sim.Time
-	eng.At(0, func() {
+	eng.Post(0, func() {
 		fa.Send(64*1024, func(tm Timing) { d1 = tm.Delivered }, nil)
 		fb.Send(64*1024, func(tm Timing) { d2 = tm.Delivered }, nil)
 	})
@@ -210,10 +210,10 @@ func TestLateArrivalNotBlockedByEarlierSlowTransfer(t *testing.T) {
 	big := r.src.NewFlow(r.eng, r.dst)
 	small := r.src.NewFlow(r.eng, r.dst)
 	var bigIn, smallIn sim.Time
-	r.eng.At(0, func() {
+	r.eng.Post(0, func() {
 		big.Send(1<<20, func(tm Timing) { bigIn = tm.InMemory }, nil)
 	})
-	r.eng.At(10*sim.Microsecond, func() {
+	r.eng.Post(10*sim.Microsecond, func() {
 		small.Send(512, func(tm Timing) { smallIn = tm.InMemory }, nil)
 	})
 	r.run(t)
@@ -227,14 +227,14 @@ func TestLateArrivalNotBlockedByEarlierSlowTransfer(t *testing.T) {
 
 func TestDualPortIndependentLanes(t *testing.T) {
 	m := model.Default()
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	eng := sim.NewEngine()
 	a := New("a", 2, gx.New(m.GXRate), m, net)
 	b := New("b", 2, gx.New(m.GXRate), m, net)
 	f0 := a.Ports[0].NewFlow(eng, b.Ports[0])
 	f1 := a.Ports[1].NewFlow(eng, b.Ports[1])
 	var l0, l1 sim.Time
-	eng.At(0, func() {
+	eng.Post(0, func() {
 		f0.Send(1<<20, func(tm Timing) { l0 = tm.Leaves }, nil)
 		f1.Send(1<<20, func(tm Timing) { l1 = tm.Leaves }, nil)
 	})
@@ -262,7 +262,7 @@ func TestEngineUtilization(t *testing.T) {
 	r := newRig(m)
 	f := r.src.NewFlow(r.eng, r.dst)
 	var end sim.Time
-	r.eng.At(0, func() {
+	r.eng.Post(0, func() {
 		f.Send(1<<20, nil, func(tm Timing) { end = tm.EngineEnd })
 	})
 	r.run(t)

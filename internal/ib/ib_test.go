@@ -26,7 +26,7 @@ func newRig(t *testing.T) *rig {
 	m := model.Default()
 	eng := sim.NewEngine()
 	realm := NewRealm(eng, m)
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	ha := hca.New("a", 1, gx.New(m.GXRate), m, net)
 	hb := hca.New("b", 1, gx.New(m.GXRate), m, net)
 	r := &rig{eng: eng, realm: realm, m: m, pa: ha.Ports[0], pb: hb.Ports[0]}
@@ -100,7 +100,7 @@ func TestEarlyArrivalWaitsForRecv(t *testing.T) {
 	}
 	// Post the receive long after the message lands.
 	buf := make([]byte, 4)
-	r.eng.At(1*sim.Second, func() {
+	r.eng.Post(1*sim.Second, func() {
 		r.qb.PostRecv(RecvWR{WRID: 9, Buf: buf, N: 4})
 	})
 	r.run(t)
@@ -221,7 +221,7 @@ func TestSendQueueDepthBackpressure(t *testing.T) {
 	m := model.Default()
 	eng := sim.NewEngine()
 	realm := NewRealm(eng, m)
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	ha := hca.New("a", 1, gx.New(m.GXRate), m, net)
 	hb := hca.New("b", 1, gx.New(m.GXRate), m, net)
 	cqa, cqb := realm.NewCQ(), realm.NewCQ()
@@ -263,7 +263,7 @@ func TestSRQSharedAcrossQPs(t *testing.T) {
 	m := model.Default()
 	eng := sim.NewEngine()
 	realm := NewRealm(eng, m)
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	ha := hca.New("a", 1, gx.New(m.GXRate), m, net)
 	hb := hca.New("b", 1, gx.New(m.GXRate), m, net)
 	cqa, cqb := realm.NewCQ(), realm.NewCQ()

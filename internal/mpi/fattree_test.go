@@ -44,7 +44,7 @@ func TestFatTreeSameLeafMatchesSingleSwitch(t *testing.T) {
 	}
 }
 
-func TestFatTreeCrossLeafAddsHops(t *testing.T) {
+func TestFatTreeCrossSwitchAddsHops(t *testing.T) {
 	lat := func(c Config, peer int) sim.Time {
 		var el sim.Time
 		mustRun(t, c, func(cm *Comm) {

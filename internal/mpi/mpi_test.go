@@ -49,6 +49,9 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Ports: 5}, func(*Comm) {}); err == nil {
 		t.Error("invalid config accepted")
 	}
+	if _, err := Run(Config{Nodes: 4, NodesPerSwitch: 2, TrunkRate: -1}, func(*Comm) {}); err == nil {
+		t.Error("negative trunk rate accepted")
+	}
 }
 
 func TestSendRecvRoundTrip(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 //
 // Two kinds of code execute under an Engine:
 //
-//   - event handlers, scheduled with At/After, which run inline on the
+//   - event handlers, scheduled with Post/PostCall, which run inline on the
 //     engine goroutine and must never block;
 //   - processes (Proc), goroutines that the engine schedules one at a time,
 //     coroutine style, and that may park on Waiters, Sleep, etc.
@@ -20,9 +20,8 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	pq      []*Timer // 4-ary min-heap ordered by (at, seq); see event.go
-	free    []*Timer // recycled pooled timer nodes
-	ncancel int      // cancelled timers still in pq (lazy compaction)
+	pq   []*timer // 4-ary min-heap ordered by (at, seq); see event.go
+	free []*timer // recycled timer nodes
 
 	ready  Ring[*Proc] // FIFO ready queue
 	cur    *Proc       // proc currently holding the baton (nil in handlers)
@@ -34,9 +33,6 @@ type Engine struct {
 	fired   uint64 // events executed (telemetry)
 
 	procRegistry []*Proc // every spawned proc, for deadlock diagnostics
-
-	// Debugf, when non-nil, receives internal trace lines (for tests).
-	Debugf func(format string, args ...any)
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -157,10 +153,14 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes the simulation until no work remains: all procs have finished
-// and the event queue is empty (cancelled timers are ignored). It returns a
-// *DeadlockError if procs remain parked with no pending events, and nil on a
-// clean completion. Run must not be called reentrantly.
-func (e *Engine) Run() error {
+// and the event queue is empty. It returns a *DeadlockError if procs remain
+// parked with no pending events, and nil on a clean completion. Run must not
+// be called reentrantly.
+func (e *Engine) Run() error { return e.run(Forever) }
+
+// run is Run bounded by a horizon: it returns nil, with later events still
+// pending, once the next event is due after deadline.
+func (e *Engine) run(deadline Time) error {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
@@ -174,8 +174,11 @@ func (e *Engine) Run() error {
 			break
 		}
 		// Advance the clock to the next pending event.
-		if e.fireNext() {
+		if e.fireNext(deadline) {
 			continue
+		}
+		if len(e.pq) > 0 {
+			return nil // the next event lies past the deadline
 		}
 		// No ready procs, no events.
 		if e.nprocs > 0 {
@@ -207,33 +210,30 @@ func (e *Engine) drainReady() {
 	}
 }
 
-// fireNext pops and fires the next pending event, reporting whether one ran.
-func (e *Engine) fireNext() bool {
-	for len(e.pq) > 0 {
-		tm := e.heapPop()
-		if tm.cancelled {
-			e.ncancel--
-			continue
-		}
-		e.now = tm.at
-		// Pull the action out and recycle the node before firing, so
-		// the handler's own scheduling can reuse it immediately.
-		fn, afn, a := tm.fn, tm.afn, tm.a
-		i0, i1, i2 := tm.i0, tm.i1, tm.i2
-		p := tm.proc
-		e.recycle(tm)
-		switch {
-		case p != nil:
-			e.Ready(p)
-		case afn != nil:
-			afn(a, i0, i1, i2)
-		default:
-			fn()
-		}
-		e.fired++
-		return true
+// fireNext pops and fires the next pending event if it is due at or before
+// deadline, reporting whether one ran.
+func (e *Engine) fireNext(deadline Time) bool {
+	if len(e.pq) == 0 || e.pq[0].at > deadline {
+		return false
 	}
-	return false
+	tm := e.heapPop()
+	e.now = tm.at
+	// Pull the action out and recycle the node before firing, so the
+	// handler's own scheduling can reuse it immediately.
+	fn, afn, a := tm.fn, tm.afn, tm.a
+	i0, i1, i2 := tm.i0, tm.i1, tm.i2
+	p := tm.proc
+	e.recycle(tm)
+	switch {
+	case p != nil:
+		e.Ready(p)
+	case afn != nil:
+		afn(a, i0, i1, i2)
+	default:
+		fn()
+	}
+	e.fired++
+	return true
 }
 
 // registryShrinkFloor is the minimum registry capacity before pruning kicks
@@ -270,7 +270,7 @@ func (e *Engine) deadlock() *DeadlockError {
 	return d
 }
 
-// EventsFired reports how many timer events have executed (telemetry for
+// EventsFired reports how many events have executed (telemetry for
 // performance analysis of the simulator itself).
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
@@ -293,13 +293,19 @@ func (e *Engine) ParkedProcs() []string {
 }
 
 // RunUntil executes the simulation until the clock would pass the deadline:
-// all events at times ≤ deadline run; the engine then stops with pending
-// later events intact. It returns nil even if procs remain parked (they
-// may be waiting for events beyond the horizon).
+// all events at times ≤ deadline run, including those scheduled during the
+// call; the engine then stops with pending later events intact and the
+// clock at the deadline. It returns nil even if procs remain parked (they
+// may be waiting for events beyond the horizon). A deadline in the past
+// panics.
 func (e *Engine) RunUntil(deadline Time) error {
-	guard := e.At(deadline, func() { e.Stop() })
-	err := e.Run()
-	guard.Cancel()
+	if deadline < e.now {
+		panic("sim: RunUntil called with a deadline in the past")
+	}
+	err := e.run(deadline)
+	if !e.stopped {
+		e.now = deadline
+	}
 	e.stopped = false
 	if _, ok := err.(*DeadlockError); ok {
 		// Within a bounded window a parked-forever proc is not

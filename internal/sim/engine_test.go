@@ -17,9 +17,9 @@ func mustRun(t *testing.T, e *Engine) {
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30*Nanosecond, func() { order = append(order, 3) })
-	e.At(10*Nanosecond, func() { order = append(order, 1) })
-	e.At(20*Nanosecond, func() { order = append(order, 2) })
+	e.Post(30*Nanosecond, func() { order = append(order, 3) })
+	e.Post(10*Nanosecond, func() { order = append(order, 1) })
+	e.Post(20*Nanosecond, func() { order = append(order, 2) })
 	mustRun(t, e)
 	if want := []int{1, 2, 3}; !reflect.DeepEqual(order, want) {
 		t.Errorf("order = %v, want %v", order, want)
@@ -34,7 +34,7 @@ func TestSameTimeEventsFireInInsertionOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5*Microsecond, func() { order = append(order, i) })
+		e.Post(5*Microsecond, func() { order = append(order, i) })
 	}
 	mustRun(t, e)
 	for i, v := range order {
@@ -47,8 +47,8 @@ func TestSameTimeEventsFireInInsertionOrder(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.At(100*Nanosecond, func() {
-		e.After(50*Nanosecond, func() { at = e.Now() })
+	e.Post(100*Nanosecond, func() {
+		e.Post(e.Now()+50*Nanosecond, func() { at = e.Now() })
 	})
 	mustRun(t, e)
 	if at != 150*Nanosecond {
@@ -56,31 +56,15 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	tm := e.At(10*Nanosecond, func() { fired = true })
-	if !tm.Cancel() {
-		t.Error("first Cancel should report true")
-	}
-	if tm.Cancel() {
-		t.Error("second Cancel should report false")
-	}
-	mustRun(t, e)
-	if fired {
-		t.Error("cancelled timer fired")
-	}
-}
-
 func TestAtInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10*Nanosecond, func() {
+	e.Post(10*Nanosecond, func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("At in the past should panic")
+				t.Error("Post in the past should panic")
 			}
 		}()
-		e.At(5*Nanosecond, func() {})
+		e.Post(5*Nanosecond, func() {})
 	})
 	mustRun(t, e)
 }
@@ -220,7 +204,7 @@ func TestHandlerWakesProc(t *testing.T) {
 		w.Wait(p, "signal")
 		woke = p.Now()
 	})
-	e.At(42*Microsecond, func() { w.WakeAll() })
+	e.Post(42*Microsecond, func() { w.WakeAll() })
 	mustRun(t, e)
 	if woke != 42*Microsecond {
 		t.Errorf("woke at %v, want 42us", woke)
@@ -237,7 +221,7 @@ func TestReadyIsIdempotent(t *testing.T) {
 		w.Wait(p, "once")
 		wakes++
 	})
-	e.At(1*Microsecond, func() {
+	e.Post(1*Microsecond, func() {
 		w.WakeAll()
 		e.Ready(pr) // duplicate; must be a no-op
 		e.Ready(pr)
@@ -265,22 +249,42 @@ func TestParkOutsideProcPanics(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []int
-	e.At(10*Microsecond, func() { fired = append(fired, 1) })
-	e.At(20*Microsecond, func() { fired = append(fired, 2) })
-	e.At(30*Microsecond, func() { fired = append(fired, 3) })
+	e.Post(10*Microsecond, func() {
+		fired = append(fired, 1)
+		// Posted during the run at exactly the deadline: it must fire.
+		e.Post(20*Microsecond, func() { fired = append(fired, 4) })
+	})
+	e.Post(20*Microsecond, func() { fired = append(fired, 2) })
+	e.Post(30*Microsecond, func() { fired = append(fired, 3) })
 	if err := e.RunUntil(20 * Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want first two", fired)
+	if want := []int{1, 2, 4}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if e.EventsFired() != 3 {
+		t.Fatalf("EventsFired = %d, want 3", e.EventsFired())
+	}
+	if e.Now() != 20*Microsecond {
+		t.Fatalf("Now = %v after RunUntil, want the deadline", e.Now())
 	}
 	// Resume to the end.
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 3 {
-		t.Fatalf("fired %v after resume", fired)
+	if len(fired) != 4 || e.EventsFired() != 4 {
+		t.Fatalf("fired %v (%d events) after resume", fired, e.EventsFired())
 	}
+	// An idle engine still advances to the deadline; a past one panics.
+	if err := e.RunUntil(50 * Microsecond); err != nil || e.Now() != 50*Microsecond {
+		t.Fatalf("idle RunUntil: err=%v now=%v", err, e.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RunUntil with a past deadline should panic")
+		}
+	}()
+	e.RunUntil(40 * Microsecond)
 }
 
 func TestRunUntilWithParkedProc(t *testing.T) {
@@ -291,7 +295,7 @@ func TestRunUntilWithParkedProc(t *testing.T) {
 		w.Wait(p, "beyond horizon")
 		woke = true
 	})
-	e.At(100*Microsecond, func() { w.WakeAll() })
+	e.Post(100*Microsecond, func() { w.WakeAll() })
 	if err := e.RunUntil(50 * Microsecond); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
@@ -309,7 +313,7 @@ func TestRunUntilWithParkedProc(t *testing.T) {
 func TestEventsFired(t *testing.T) {
 	e := NewEngine()
 	for i := 1; i <= 5; i++ {
-		e.At(Time(i)*Microsecond, func() {})
+		e.Post(Time(i)*Microsecond, func() {})
 	}
 	mustRun(t, e)
 	if e.EventsFired() != 5 {

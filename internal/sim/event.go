@@ -1,33 +1,27 @@
 package sim
 
 // Event machinery for the hot path: a hand-inlined 4-ary min-heap over
-// pooled Timer nodes.
+// pooled timer nodes.
 //
-// The original implementation used container/heap over a slice of *Timer,
-// which costs an interface-boxing allocation per operation and one heap
-// allocation per At/After call; profile-wise those two were the largest
-// single source of both CPU (sift comparisons through interface dispatch)
-// and garbage in full-figure simulations. Here the heap is specialized:
+// The original implementation used container/heap over a slice of timer
+// pointers, which costs an interface-boxing allocation per operation and
+// one heap allocation per scheduled event; profile-wise those two were the
+// largest single source of both CPU (sift comparisons through interface
+// dispatch) and garbage in full-figure simulations. Here the heap is
+// specialized:
 //
 //   - 4-ary layout: shallower than binary (fewer cache-missing levels) with
 //     the 4 children adjacent in memory, a standard DES event-queue trick;
-//   - Timer nodes for handle-free events (Post, PostCall, Sleep, Yield) come
-//     from a per-engine free list and are recycled as soon as they fire, so
-//     steady-state scheduling allocates nothing;
-//   - At/After still return a cancellable *Timer handle; those nodes are NOT
-//     pooled (the engine cannot prove the caller dropped the handle, and
-//     recycling under a live handle would let a stale Cancel kill an
-//     unrelated event), they are simply garbage-collected;
-//   - cancelled timers are compacted lazily: Cancel marks the node and the
-//     heap is rebuilt without them only once more than half the queue is
-//     dead, instead of carrying every corpse to the root one pop at a time.
+//   - every event is handle-free (Post, PostCall, Sleep, Yield), so timer
+//     nodes come from a per-engine free list and are recycled as soon as
+//     they fire: steady-state scheduling allocates nothing.
 //
 // Event order is the total order (at, seq) — identical to the previous
 // implementation, so virtual timelines are bit-for-bit unchanged (the
 // determinism digests in internal/adi assert this).
 
-// Timer is a handle to a scheduled event. It may be cancelled before firing.
-type Timer struct {
+// timer is one scheduled event.
+type timer struct {
 	at  Time
 	seq uint64
 
@@ -39,42 +33,10 @@ type Timer struct {
 	a          any
 	i0, i1, i2 int64
 	proc       *Proc
-
-	eng       *Engine // owning engine (for cancel bookkeeping); nil on pooled nodes
-	queued    bool    // currently in the heap (pending)
-	pooled    bool    // node belongs to the engine free list
-	cancelled bool
 }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op. Cancel reports whether the event was
-// still pending.
-func (tm *Timer) Cancel() bool {
-	if tm == nil || tm.cancelled {
-		return false
-	}
-	if !tm.queued {
-		return false
-	}
-	tm.cancelled = true
-	if e := tm.eng; e != nil {
-		e.ncancel++
-		if e.ncancel > len(e.pq)/2 && len(e.pq) >= compactFloor {
-			e.compact()
-		}
-	}
-	return true
-}
-
-// When reports the virtual time the timer is (or was) scheduled to fire.
-func (tm *Timer) When() Time { return tm.at }
-
-// compactFloor is the minimum queue length before lazy compaction triggers;
-// below it the dead entries are cheaper to pop than to rebuild around.
-const compactFloor = 64
 
 // timerLess is the global total order on events: (at, seq).
-func timerLess(a, b *Timer) bool {
+func timerLess(a, b *timer) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -83,13 +45,12 @@ func timerLess(a, b *Timer) bool {
 
 // ---- 4-ary heap (methods on Engine; the heap lives in e.pq) ----
 
-func (e *Engine) heapPush(tm *Timer) {
-	tm.queued = true
+func (e *Engine) heapPush(tm *timer) {
 	e.pq = append(e.pq, tm)
 	e.siftUp(len(e.pq) - 1)
 }
 
-func (e *Engine) heapPop() *Timer {
+func (e *Engine) heapPop() *timer {
 	h := e.pq
 	top := h[0]
 	n := len(h) - 1
@@ -99,7 +60,6 @@ func (e *Engine) heapPop() *Timer {
 	if n > 0 {
 		e.siftDown(0)
 	}
-	top.queued = false
 	return top
 }
 
@@ -145,50 +105,24 @@ func (e *Engine) siftDown(i int) {
 	h[i] = tm
 }
 
-// compact rebuilds the heap without cancelled entries.
-func (e *Engine) compact() {
-	h := e.pq
-	live := h[:0]
-	for _, tm := range h {
-		if tm.cancelled {
-			tm.queued = false
-			continue
-		}
-		live = append(live, tm)
-	}
-	for i := len(live); i < len(h); i++ {
-		h[i] = nil
-	}
-	e.pq = live
-	e.ncancel = 0
-	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
 // ---- free list ----
 
-// alloc returns a recycled pooled node, or a fresh one.
-func (e *Engine) alloc() *Timer {
+// alloc returns a recycled node, or a fresh one.
+func (e *Engine) alloc() *timer {
 	if n := len(e.free); n > 0 {
 		tm := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		return tm
 	}
-	return &Timer{pooled: true}
+	return &timer{}
 }
 
-// recycle returns a fired pooled node to the free list. Escaped (At/After)
-// nodes are left to the garbage collector: a caller may still hold the
-// handle, and reusing the node under it would mis-target a later Cancel.
-// Only the reference fields are cleared: the fire-action triple must be
-// empty for correct dispatch on reuse (and for GC), while the scalars are
-// overwritten by whichever schedule call next claims the node.
-func (e *Engine) recycle(tm *Timer) {
-	if !tm.pooled {
-		return
-	}
+// recycle returns a fired node to the free list. Only the reference fields
+// are cleared: the fire-action triple must be empty for correct dispatch on
+// reuse (and for GC), while the scalars are overwritten by whichever
+// schedule call next claims the node.
+func (e *Engine) recycle(tm *timer) {
 	tm.fn, tm.afn, tm.a, tm.proc = nil, nil, nil, nil
 	e.free = append(e.free, tm)
 }
@@ -196,61 +130,30 @@ func (e *Engine) recycle(tm *Timer) {
 // ---- scheduling ----
 
 // sched stamps tm with its (at, seq) key and pushes it onto the heap.
-func (e *Engine) sched(tm *Timer, t Time) {
+// Scheduling in the past (t < Now) is a programming error and panics.
+func (e *Engine) sched(tm *timer, t Time) {
+	if t < e.now {
+		panic("sim: event scheduled at a time in the past")
+	}
 	tm.at, tm.seq = t, e.seq
 	e.seq++
 	e.heapPush(tm)
 }
 
-// At schedules fn to run when the virtual clock reaches t and returns a
-// cancellable handle. Scheduling in the past (t < Now) is a programming
-// error and panics. Handlers run on the engine's goroutine and must not
-// block or park. For fire-and-forget events prefer Post/PostAfter, which
-// recycle their timer node.
-func (e *Engine) At(t Time, fn func()) *Timer {
-	if t < e.now {
-		panic("sim: At called with a time in the past")
-	}
-	tm := &Timer{fn: fn, eng: e}
-	e.sched(tm, t)
-	return tm
-}
-
-// After schedules fn to run d ticks from now.
-func (e *Engine) After(d Time, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Post schedules fn at t with no handle: the event cannot be cancelled, and
-// its timer node is pooled, so steady-state use allocates only fn's own
-// closure (if any).
+// Post schedules fn to run when the virtual clock reaches t. Handlers run
+// on the engine's goroutine and must not block or park. Events cannot be
+// cancelled; the timer node is pooled, so steady-state use allocates only
+// fn's own closure (if any). Scheduling in the past panics.
 func (e *Engine) Post(t Time, fn func()) {
-	if t < e.now {
-		panic("sim: Post called with a time in the past")
-	}
 	tm := e.alloc()
 	tm.fn = fn
 	e.sched(tm, t)
 }
 
-// PostAfter schedules fn to run d ticks from now, without a handle.
-func (e *Engine) PostAfter(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.Post(e.now+d, fn)
-}
-
-// PostCall schedules fn(a, i0, i1, i2) at t with no handle and no closure:
-// the arguments ride in the pooled timer node, so hot paths that would
-// otherwise allocate a capturing closure per event allocate nothing.
+// PostCall schedules fn(a, i0, i1, i2) at t with no closure: the arguments
+// ride in the pooled timer node, so hot paths that would otherwise allocate
+// a capturing closure per event allocate nothing.
 func (e *Engine) PostCall(t Time, fn func(a any, i0, i1, i2 int64), a any, i0, i1, i2 int64) {
-	if t < e.now {
-		panic("sim: PostCall called with a time in the past")
-	}
 	tm := e.alloc()
 	tm.afn, tm.a, tm.i0, tm.i1, tm.i2 = fn, a, i0, i1, i2
 	e.sched(tm, t)

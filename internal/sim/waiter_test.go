@@ -16,14 +16,14 @@ func TestWaiterFIFOWakeOne(t *testing.T) {
 			order = append(order, name)
 		})
 	}
-	e.At(1*Microsecond, func() {
+	e.Post(1*Microsecond, func() {
 		if w.Len() != 3 {
 			t.Errorf("Len = %d, want 3", w.Len())
 		}
 		w.WakeOne()
 	})
-	e.At(2*Microsecond, func() { w.WakeOne() })
-	e.At(3*Microsecond, func() { w.WakeOne() })
+	e.Post(2*Microsecond, func() { w.WakeOne() })
+	e.Post(3*Microsecond, func() { w.WakeOne() })
 	mustRun(t, e)
 	if want := []string{"first", "second", "third"}; !reflect.DeepEqual(order, want) {
 		t.Errorf("order = %v, want %v", order, want)
@@ -51,7 +51,7 @@ func TestWaitForPredicateLoop(t *testing.T) {
 	})
 	for i := 1; i <= 3; i++ {
 		i := i
-		e.At(Time(i)*Microsecond, func() {
+		e.Post(Time(i)*Microsecond, func() {
 			n = i
 			w.WakeAll()
 		})
@@ -71,8 +71,8 @@ func TestQueuePutGet(t *testing.T) {
 			got = append(got, q.Get(p, "item"))
 		}
 	})
-	e.At(1*Microsecond, func() { q.Put(10); q.Put(20) })
-	e.At(2*Microsecond, func() { q.Put(30) })
+	e.Post(1*Microsecond, func() { q.Put(10); q.Put(20) })
+	e.Post(2*Microsecond, func() { q.Put(30) })
 	mustRun(t, e)
 	if want := []int{10, 20, 30}; !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
@@ -88,7 +88,7 @@ func TestQueueGetBeforePut(t *testing.T) {
 		v = q.Get(p, "waiting")
 		at = p.Now()
 	})
-	e.At(5*Microsecond, func() { q.Put("x") })
+	e.Post(5*Microsecond, func() { q.Put("x") })
 	mustRun(t, e)
 	if v != "x" || at != 5*Microsecond {
 		t.Errorf("got %q at %v, want \"x\" at 5us", v, at)

@@ -9,6 +9,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"ib12x/internal/fabric"
 	"ib12x/internal/gx"
@@ -26,17 +27,18 @@ type Spec struct {
 	QPsPerPort   int
 
 	// NodesPerSwitch groups nodes under leaf switches of a two-level fat
-	// tree (0 = the paper's single switch). TrunkRate is the per-leaf
-	// trunk bandwidth toward the spine in bytes/s (0 = the link's raw
-	// rate, i.e. a 1:1 trunk).
+	// tree, one pod of leaves under a single spine (0 = the paper's single
+	// switch). TrunkRate is the per-leaf trunk bandwidth toward the spine
+	// in bytes/s (0 = the link's raw rate, i.e. a 1:1 trunk; negative is
+	// invalid).
 	NodesPerSwitch int
 	TrunkRate      float64
 
-	// Tiers = 3 upgrades the fat tree to the routed three-tier fabric:
-	// leaves grouped SpinesPerPod to a pod, SpinesPerPod spines per pod,
-	// SpinesPerPod cores, per-switch path selection (fabric.NewThreeTier).
+	// Tiers = 3 selects the three-tier fat tree: leaves grouped
+	// SpinesPerPod to a pod, SpinesPerPod spines per pod, SpinesPerPod
+	// cores, per-switch path selection (fabric.NewThreeTier).
 	// NodesPerSwitch then sets the leaf radix and TrunkRate every
-	// inter-switch lane. 0/2 keep the legacy shapes.
+	// inter-switch lane. 0/2 keep the single switch or two-level tree.
 	Tiers        int
 	SpinesPerPod int
 
@@ -45,8 +47,9 @@ type Spec struct {
 	// nodes-per-router (0 = 1).
 	Dragonfly Dragonfly
 
-	// Routing picks static D-mod-K vs adaptive path selection on routed
-	// fabrics (ignored by flat and two-level shapes).
+	// Routing picks static D-mod-K vs adaptive path selection where a
+	// switch has parallel candidates (ignored by the single switch and the
+	// two-level tree, which have one route per pair).
 	Routing fabric.Routing
 }
 
@@ -84,9 +87,11 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("topo: PortsPerHCA = %d, the IBM 12x HCA is dual-port (1 or 2)", s.PortsPerHCA)
 	case s.QPsPerPort < 1:
 		return fmt.Errorf("topo: QPsPerPort = %d, need ≥ 1", s.QPsPerPort)
+	case s.TrunkRate < 0 || math.IsNaN(s.TrunkRate):
+		return fmt.Errorf("topo: TrunkRate = %g, need ≥ 0 (0 = link rate)", s.TrunkRate)
 	}
 	if s.Tiers != 0 && s.Tiers != 2 && s.Tiers != 3 {
-		return fmt.Errorf("topo: Tiers = %d, need 0 (flat/legacy), 2, or 3", s.Tiers)
+		return fmt.Errorf("topo: Tiers = %d, need 0 (flat or two-level), 2, or 3", s.Tiers)
 	}
 	if s.Dragonfly.Groups > 0 {
 		d := s.Dragonfly
